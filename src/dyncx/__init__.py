@@ -28,8 +28,8 @@ from .framework import (
     constant_prover,
     fuzz_soundness,
     random_prover,
+    replay,
     reward_maximizing_prover,
-    run_deterministic,
     run_protocol,
 )
 from .dnf import (

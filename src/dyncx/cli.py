@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import connectivity, dnf, equiv, fdt, reductions
+from . import connectivity, dnf, equiv, fdt, oracles, reductions
 from .framework import (
     BOTTOM,
     DyncxError,
@@ -27,8 +27,9 @@ from .framework import (
     constant_prover,
     format_token,
     random_prover,
+    replay,
     reward_maximizing_prover,
-    run_deterministic,
+    run_protocol,
 )
 
 
@@ -87,15 +88,19 @@ def _fmt(tok) -> str | None:
     return None if tok is None else format_token(tok)
 
 
+def _read_dnf(args) -> dnf.DnfInstance:
+    """The --in DNF instance; a clause order, if given, is dropped."""
+    inst = dnf.parse_dnf(_read(getattr(args, "in")))
+    return inst.base if isinstance(inst, dnf.FirstDnfInstance) else inst
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
 
 def cmd_eval(args) -> RunReport:
-    inst = dnf.parse_dnf(_read(getattr(args, "in")))
-    if isinstance(inst, dnf.FirstDnfInstance):
-        inst = inst.base
+    inst = _read_dnf(args)
     stream = _load_stream(args.updates)
     factory = dnf.NaiveAlgorithm if args.algo == "naive" else dnf.ClauseCounters
     algo = factory(inst)
@@ -114,25 +119,9 @@ def cmd_eval(args) -> RunReport:
         "flips": sum(1 for tok in stream if tok[0] == "f"),
     }
     if args.check:
-        truth = run_deterministic(
-            lambda i: _BruteForceDnf(i), inst, stream
-        )
-        report.flags["matches_oracle"] = answers == truth
+        truths = replay(inst.copy(), stream, dnf.eval_bruteforce)
+        report.flags["matches_oracle"] = answers == truths
     return report
-
-
-class _BruteForceDnf:
-    def __init__(self, inst: dnf.DnfInstance):
-        self.inst = dnf.DnfInstance(
-            inst.num_vars, inst.clauses, list(inst.assignment), inst.width
-        )
-
-    def answer(self) -> int:
-        return dnf.eval_bruteforce(self.inst)
-
-    def apply(self, token) -> int:
-        self.inst.apply(token)
-        return self.answer()
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +130,15 @@ class _BruteForceDnf:
 
 
 _ADVERSARIES = {
-    "dnf": {"bottom": lambda args: constant_prover(BOTTOM)},
+    "dnf": {"bottom": constant_prover(BOTTOM)},
     "conn": {
-        "bottom": lambda args: constant_prover(BOTTOM),
-        "cycle": lambda args: connectivity.cycle_making_prover,
-        "ghost": lambda args: connectivity.ghost_edge_prover,
+        "bottom": constant_prover(BOTTOM),
+        "cycle": connectivity.cycle_making_prover,
+        "ghost": connectivity.ghost_edge_prover,
     },
     "kconn": {
-        "bottom": lambda args: constant_prover(BOTTOM),
-        "oversize": lambda args: connectivity.oversized_proof_prover,
+        "bottom": constant_prover(BOTTOM),
+        "oversize": connectivity.oversized_proof_prover,
     },
 }
 
@@ -173,7 +162,7 @@ def _pick_prover(problem: str, args):
             raise DyncxError(
                 f"unknown adversary {key!r} for {problem}; have {sorted(table)}"
             )
-        return table[key](args)
+        return table[key]
     raise DyncxError(f"unknown prover {name!r}")
 
 
@@ -186,9 +175,7 @@ def cmd_verify(args) -> RunReport:
         return _verify_spanning(args, stream, report)
 
     if problem == "dnf":
-        inst = dnf.parse_dnf(_read(getattr(args, "in")))
-        if isinstance(inst, dnf.FirstDnfInstance):
-            inst = inst.base
+        inst = _read_dnf(args)
         factory = dnf.DnfVerifier
     else:
         graph, k = connectivity.parse_graph(_read(getattr(args, "in")))
@@ -203,19 +190,8 @@ def cmd_verify(args) -> RunReport:
             factory = lambda g: connectivity.KconnVerifier(g, k)  # noqa: E731
 
     prover = _pick_prover(problem, args)
-    from .framework import run_protocol
-
     transcript = run_protocol(factory, prover, inst, stream)
-    report.steps = [
-        {
-            "step": r.step,
-            "update": _fmt(r.update),
-            "proof_hex": None if r.proof is None else r.proof.hex(),
-            "x": r.output.x,
-            "y": r.output.y,
-        }
-        for r in transcript.records
-    ]
+    report.steps = [r.to_dict() for r in transcript.records]
     report.counters = {
         "problem": problem,
         "prover": args.prover,
@@ -236,25 +212,12 @@ def cmd_verify(args) -> RunReport:
 
 def _ground_truths(problem, args, inst, stream) -> list[int]:
     if problem == "dnf":
-        algo = _BruteForceDnf(inst)
-        return [algo.answer()] + [algo.apply(tok) for tok in stream]
-    graph = inst.copy()
-    truths = []
-
-    def current() -> int:
-        if problem == "conn":
-            from .oracles import is_connected
-
-            return 1 if is_connected(graph.num_nodes, graph.edges) else 0
-        value, _ = connectivity.mincut_bruteforce(graph)
-        return 1 if value < args.k else 0
-
-    truths.append(current())
-    for tok in stream:
-        if tok[0] == "e":
-            graph.apply(tok)
-        truths.append(current())
-    return truths
+        return replay(inst.copy(), stream, dnf.eval_bruteforce)
+    if problem == "conn":
+        return replay(inst.copy(), stream,
+                      lambda g: int(oracles.is_connected(g.num_nodes, g.edges)))
+    return replay(inst.copy(), stream,
+                  lambda g: int(connectivity.mincut_bruteforce(g)[0] < args.k))
 
 
 def _verify_spanning(args, stream, report: RunReport) -> RunReport:
@@ -287,20 +250,15 @@ def _verify_spanning(args, stream, report: RunReport) -> RunReport:
         "updates": len(stream),
     }
     if args.check:
-        from .oracles import component_count, components
-
-        ok = not protocol.desynced
-        shadow = graph.copy()
-        for r, tok in zip(records, [None] + list(stream)):
-            if tok is not None and tok[0] == "e":
-                shadow.apply(tok)
-            want = component_count(shadow.num_nodes, shadow.edges)
-            if r.component_count != want or len(r.forest_edges) != shadow.num_nodes - want:
-                ok = False
-            labels = components(shadow.num_nodes, list(r.forest_edges))
-            if labels != components(shadow.num_nodes, shadow.edges):
-                ok = False
-        report.flags["spanning_forest_valid"] = ok
+        n = graph.num_nodes
+        truths = replay(graph.copy(), stream, lambda g: (
+            oracles.component_count(n, g.edges), oracles.components(n, g.edges)))
+        report.flags["spanning_forest_valid"] = not protocol.desynced and all(
+            r.component_count == count
+            and len(r.forest_edges) == n - count
+            and oracles.components(n, r.forest_edges) == labels
+            for r, (count, labels) in zip(records, truths)
+        )
     return report
 
 
@@ -355,9 +313,7 @@ def cmd_sat(args) -> RunReport:
 
 
 def cmd_complete_demo(args) -> RunReport:
-    inst = dnf.parse_dnf(_read(getattr(args, "in")))
-    if isinstance(inst, dnf.FirstDnfInstance):
-        inst = inst.base
+    inst = _read_dnf(args)
     stream = _load_stream(args.updates)
     trees = fdt.compile_dnf_verifier_to_trees(inst)
     trace: list = []
@@ -381,8 +337,7 @@ def cmd_complete_demo(args) -> RunReport:
         "max_depth": max(t.depth() for t in trees),
         "updates": len(stream),
     }
-    truth = _BruteForceDnf(inst)
-    truths = [truth.answer()] + [truth.apply(tok) for tok in stream]
+    truths = replay(inst.copy(), stream, dnf.eval_bruteforce)
     report.flags["matches_oracle"] = answers == truths
     return report
 

@@ -405,8 +405,8 @@ class KconnVerifier:
             raise ParseError("k must be >= 1")
         self.k = k
         self.graph = graph.copy()
-        factory = oracle_factory or RebuildConnectivityOracle
-        self.conn = factory(graph.num_nodes, graph.edges)
+        self.oracle_factory = oracle_factory or RebuildConnectivityOracle
+        self.conn = self.oracle_factory(graph.num_nodes, graph.edges)
         self.last_touches = 0
 
     @property
@@ -424,7 +424,8 @@ class KconnVerifier:
         dup = object.__new__(KconnVerifier)
         dup.k = self.k
         dup.graph = self.graph.copy()
-        dup.conn = RebuildConnectivityOracle(self.graph.num_nodes, self.graph.edges)
+        dup.oracle_factory = self.oracle_factory
+        dup.conn = self.oracle_factory(self.graph.num_nodes, self.graph.edges)
         dup.last_touches = 0
         return dup
 
@@ -531,16 +532,19 @@ def parse_graph(text: str) -> tuple[DynamicGraph, int | None]:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 3 or parts[1] != "graph":
-                raise ParseError(f"line {lineno}: want 'p graph <N>'")
-            header = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        elif parts[0] == "k":
-            k = int(parts[1])
-        else:
-            raise ParseError(f"line {lineno}: unknown line {raw!r}")
+        try:
+            if parts[0] == "p":
+                if len(parts) != 3 or parts[1] != "graph":
+                    raise ParseError(f"line {lineno}: want 'p graph <N>'")
+                header = int(parts[2])
+            elif parts[0] == "e":
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            elif parts[0] == "k":
+                k = int(parts[1])
+            else:
+                raise ParseError(f"line {lineno}: unknown line {raw!r}")
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"line {lineno}: bad line {raw!r}") from exc
     if header is None:
         raise ParseError("missing 'p graph' header")
     graph = DynamicGraph(header)

@@ -91,6 +91,9 @@ class DnfInstance:
                     raise MalformedClause(f"clause {j} wider than declared bound")
         return self
 
+    def copy(self) -> "DnfInstance":
+        return DnfInstance(self.num_vars, self.clauses, list(self.assignment), self.width)
+
     def apply(self, token):
         if token[0] == "f":
             _, var, bit = token
@@ -186,23 +189,11 @@ class ClauseCounters:
         raise UndecodableUpdate(f"dnf counters cannot apply {token!r}")
 
 
-def build_counters(inst: DnfInstance) -> ClauseCounters:
-    return ClauseCounters(inst)
-
-
-def counters_algorithm(inst: DnfInstance) -> ClauseCounters:
-    """Factory alias with the run_deterministic algorithm shape."""
-    return ClauseCounters(inst)
-
-
 class NaiveAlgorithm:
     """Rescan-everything baseline; exists for benchmarks and cross-checks."""
 
     def __init__(self, inst: DnfInstance):
-        inst.validate()
-        self.inst = DnfInstance(
-            inst.num_vars, inst.clauses, list(inst.assignment), inst.width
-        )
+        self.inst = inst.validate().copy()
         self.meter = ProbeMeter()
 
     def answer(self) -> int:
@@ -407,29 +398,29 @@ def parse_dnf(text: str):
         if not line or line.startswith("c "):
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 5 or parts[1] != "dnf":
-                raise ParseError(f"line {lineno}: want 'p dnf <n> <m> <w>'")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif parts[0] == "a":
-            bits = [int(tok) for tok in parts[1:]]
-            if any(b not in (0, 1) for b in bits):
-                raise ParseError(f"line {lineno}: assignment bits must be 0/1")
-            assignment = bits
-        elif parts[0] == "o":
-            order = [int(tok) - 1 for tok in parts[1:]]
-        else:
-            try:
+        try:
+            if parts[0] == "p":
+                if header is not None:
+                    raise ParseError(f"line {lineno}: duplicate header")
+                if len(parts) != 5 or parts[1] != "dnf":
+                    raise ParseError(f"line {lineno}: want 'p dnf <n> <m> <w>'")
+                header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            elif parts[0] == "a":
+                bits = [int(tok) for tok in parts[1:]]
+                if any(b not in (0, 1) for b in bits):
+                    raise ParseError(f"line {lineno}: assignment bits must be 0/1")
+                assignment = bits
+            elif parts[0] == "o":
+                order = [int(tok) - 1 for tok in parts[1:]]
+            else:
                 lits = [int(tok) for tok in parts]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad clause line") from exc
-            if not lits or lits[-1] != 0:
-                raise ParseError(f"line {lineno}: clause must end with 0")
-            if any(l == 0 for l in lits[:-1]):
-                raise ParseError(f"line {lineno}: stray 0 inside clause")
-            clauses.append(clause(*lits[:-1]))
+                if lits[-1] != 0:
+                    raise ParseError(f"line {lineno}: clause must end with 0")
+                if any(l == 0 for l in lits[:-1]):
+                    raise ParseError(f"line {lineno}: stray 0 inside clause")
+                clauses.append(clause(*lits[:-1]))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
     if header is None:
         raise ParseError("missing 'p dnf' header")
     n, m, w = header

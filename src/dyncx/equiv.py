@@ -240,20 +240,12 @@ def indep_bruteforce(inst: HypergraphInstance) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Translator:
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, token) -> list[tuple]:
-        return self._fn(token)
-
-
 def dnf_to_aw(inst: DnfInstance, prune: bool = False):
     """Variables split into positive/negative literal nodes (2i, 2i+1);
     clause j becomes R node j adjacent to the literal nodes it contains.
     phi(x_i)=1 colors node 2i white and 2i+1 black; F(phi)=1 iff some R node
     is all-white. With prune=True, literal nodes used by no clause are
-    dropped (an index map is kept on the translator)."""
+    dropped and the rest renumbered in order."""
     inst.validate()
     edges = []
     for j, c in enumerate(inst.clauses):
@@ -291,9 +283,7 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
             out.append(("c", remap[neg], "B" if bit else "W"))
         return out
 
-    tr = _Translator(translate)
-    tr.node_of_literal = remap
-    return aw, tr
+    return aw, translate
 
 
 def aw_to_indep(inst: AllWhiteInstance):
@@ -314,7 +304,7 @@ def aw_to_indep(inst: AllWhiteInstance):
         _, node, color = token
         return [("s", "+" if color == "W" else "-", node)]
 
-    return hg, _Translator(translate)
+    return hg, translate
 
 
 def indep_to_dnf(inst: HypergraphInstance):
@@ -336,7 +326,7 @@ def indep_to_dnf(inst: HypergraphInstance):
         _, sign, v = token
         return [("f", v, 1 if sign == "+" else 0)]
 
-    return dnf, _Translator(translate)
+    return dnf, translate
 
 
 def aw_to_ov(inst: AllWhiteInstance):
@@ -358,7 +348,7 @@ def aw_to_ov(inst: AllWhiteInstance):
         _, node, color = token
         return [("u", node, 0 if color == "W" else 1)]
 
-    return ov, _Translator(translate)
+    return ov, translate
 
 
 def ov_to_aw(inst: SparseOvInstance):
@@ -378,7 +368,7 @@ def ov_to_aw(inst: SparseOvInstance):
         _, i, bit = token
         return [("c", i, "B" if bit else "W")]
 
-    return aw, _Translator(translate)
+    return aw, translate
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +439,21 @@ def parse_aw(text: str) -> AllWhiteInstance:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "aw":
-                raise ParseError(f"line {lineno}: want 'p aw <|L|> <|R|>'")
-            header = (int(parts[2]), int(parts[3]))
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        elif parts[0] == "c":
-            if parts[2] not in ("W", "B"):
-                raise ParseError(f"line {lineno}: color must be W or B")
-            color_lines.append((int(parts[1]) - 1, parts[2] == "W"))
-        else:
-            raise ParseError(f"line {lineno}: unknown line {raw!r}")
+        try:
+            if parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "aw":
+                    raise ParseError(f"line {lineno}: want 'p aw <|L|> <|R|>'")
+                header = (int(parts[2]), int(parts[3]))
+            elif parts[0] == "e":
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            elif parts[0] == "c":
+                if parts[2] not in ("W", "B"):
+                    raise ParseError(f"line {lineno}: color must be W or B")
+                color_lines.append((int(parts[1]) - 1, parts[2] == "W"))
+            else:
+                raise ParseError(f"line {lineno}: unknown line {raw!r}")
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"line {lineno}: bad line {raw!r}") from exc
     if header is None:
         raise ParseError("missing 'p aw' header")
     num_l, num_r = header

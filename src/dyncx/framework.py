@@ -3,8 +3,9 @@
 A dynamic problem is driven by a stream of small updates. Two execution
 modes live here:
 
-* plain deterministic algorithms (`run_deterministic`): the algorithm sees
-  each update and must answer on its own;
+* plain replays (`replay`): a state object applies each update itself and
+  a read function answers after every step; the brute-force truths behind
+  every --check run this way;
 * verifier/prover protocols (`run_protocol`): after each update the prover
   hands the verifier a short proof, the verifier replies with an answer bit
   x and a signed integer reward y. Soundness must hold against every proof
@@ -174,15 +175,21 @@ def _parse_token(parts: list[str]) -> tuple:
 
 
 def format_token(tok: tuple) -> str:
-    kind = tok[0]
-    if kind == "f":
-        return f"f {tok[1] + 1} {tok[2]}"
-    if kind == "e":
-        return f"e {tok[1]} {tok[2] + 1} {tok[3] + 1}"
-    if kind == "c":
-        return f"c {tok[1] + 1} {tok[2]}"
-    if kind == "q":
-        return "q"
+    """Text form of a token; UndecodableUpdate unless it parses back exactly."""
+    kind = tok[0] if tok else None
+    try:
+        if kind == "f":
+            text = f"f {tok[1] + 1} {tok[2]}"
+        elif kind == "e":
+            text = f"e {tok[1]} {tok[2] + 1} {tok[3] + 1}"
+        elif kind == "c":
+            text = f"c {tok[1] + 1} {tok[2]}"
+        else:
+            text = "q"
+        if _parse_token(text.split()) == tok:
+            return text
+    except (TypeError, ValueError, IndexError):
+        pass
     raise UndecodableUpdate(f"cannot format token {tok!r}")
 
 
@@ -210,6 +217,16 @@ class TranscriptRecord:
     proof: bytes | None
     output: VerifierOutput
 
+    def to_dict(self) -> dict:
+        """The report form of one step, shared by transcripts and the CLI."""
+        return {
+            "step": self.step,
+            "update": None if self.update is None else format_token(self.update),
+            "proof_hex": None if self.proof is None else self.proof.hex(),
+            "x": self.output.x,
+            "y": self.output.y,
+        }
+
 
 @dataclass
 class ProofTranscript:
@@ -231,17 +248,7 @@ class ProofTranscript:
         return [r.output.y for r in self.records]
 
     def to_json(self) -> str:
-        steps = []
-        for r in self.records:
-            steps.append(
-                {
-                    "step": r.step,
-                    "update": None if r.update is None else format_token(r.update),
-                    "proof_hex": None if r.proof is None else r.proof.hex(),
-                    "x": r.output.x,
-                    "y": r.output.y,
-                }
-            )
+        steps = [r.to_dict() for r in self.records]
         return json.dumps({"schema": 1, "steps": steps}, sort_keys=True)
 
 
@@ -296,16 +303,16 @@ def env_budget(default: int = 200_000) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_deterministic(algorithm_factory, initial_instance, stream) -> list[int]:
-    """Run a proof-free dynamic algorithm; one answer per step, step 0 first.
+def replay(state, stream, read) -> list:
+    """read(state) before the first update and after each state.apply(token).
 
-    The algorithm object must expose answer() and apply(token) -> answer.
+    Mutates `state`; pass a copy when the caller still needs the original.
     """
-    algo = algorithm_factory(initial_instance)
-    answers = [algo.answer()]
+    out = [read(state)]
     for tok in stream:
-        answers.append(algo.apply(tok))
-    return answers
+        state.apply(tok)
+        out.append(read(state))
+    return out
 
 
 def run_protocol(verifier_factory, prover, initial_instance, stream) -> ProofTranscript:

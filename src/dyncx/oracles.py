@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 
 class UnionFind:
     def __init__(self, n: int):
@@ -213,22 +211,33 @@ def max_flow(num_nodes: int, capacities: dict[tuple[int, int], int], s: int, t: 
 
 
 def sat_bruteforce(num_vars: int, clauses) -> bool:
-    """Exhaustive CNF satisfiability over all 2^n assignments (vectorized).
+    """Exhaustive CNF satisfiability over all 2^n assignments at once.
+
+    Bit a of a mask stands for the assignment that sets variable v+1 to
+    bit v of a; each clause is the OR of its literals' masks and the
+    formula the AND of its clauses.
 
     clauses: iterable of tuples of nonzero 1-based signed literals.
     """
     if num_vars > 26:
         raise ValueError("exhaustive SAT capped at 26 variables")
     total = 1 << num_vars
-    assignments = np.arange(total, dtype=np.uint32)
-    alive = np.ones(total, dtype=bool)
+    everything = (1 << total) - 1
+    masks = []
+    for v in range(num_vars):
+        half = 1 << v
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < total:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    alive = everything
     for cl in clauses:
-        sat = np.zeros(total, dtype=bool)
+        sat = 0
         for lit in cl:
-            var = abs(lit) - 1
-            bit = (assignments >> var) & 1
-            sat |= bit.astype(bool) if lit > 0 else ~bit.astype(bool)
+            mask = masks[abs(lit) - 1]
+            sat |= mask if lit > 0 else everything ^ mask
         alive &= sat
-        if not alive.any():
+        if not alive:
             return False
-    return bool(alive.any())
+    return True

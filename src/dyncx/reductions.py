@@ -389,9 +389,9 @@ def check_reduction(build, aw: AllWhiteInstance, stream):
     target, translate, decode = build(aw)
     records = [ReductionStep(0, None, aw_bruteforce(aw), decode(target))]
     for i, token in enumerate(stream, 1):
+        aw.apply(token)  # rejects out-of-range nodes before the translator sees them
         for out in translate(token):
             target.apply(out)
-        aw.apply(token)
         records.append(ReductionStep(i, token, aw_bruteforce(aw), decode(target)))
     return records
 
@@ -427,21 +427,24 @@ def parse_dimacs(text: str) -> CnfInstance:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad header {raw!r}")
-            num_vars, expected = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ParseError("clause line before header")
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending = []
-            else:
-                pending.append(lit)
+        parts = line.split()
+        try:
+            if line.startswith("p"):
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ParseError(f"bad header {raw!r}")
+                num_vars, expected = int(parts[2]), int(parts[3])
+                continue
+            if num_vars is None:
+                raise ParseError("clause line before header")
+            for tok in parts:
+                lit = int(tok)
+                if lit == 0:
+                    clauses.append(tuple(pending))
+                    pending = []
+                else:
+                    pending.append(lit)
+        except ValueError as exc:
+            raise ParseError(f"bad number in {raw!r}") from exc
     if num_vars is None:
         raise ParseError("missing p cnf header")
     if pending:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,39 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden(name, files, tmp_path, monkeypatch, capsys):
+    """README commands keep their exact JSON bytes, probe counts included."""
+    monkeypatch.chdir(tmp_path)
+    case = GOLDEN[name]
+    rc = main(case["argv"])
+    assert capsys.readouterr().out == case["stdout"]
+    assert rc == case["exit"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval"], "p dnf x 1 1\n1 0\n"),
+        (["sat"], "p cnf 2 1\n1 x 0\n"),
+        (["verify", "--problem", "conn"], "p graph 3\ne 1\n"),
+        # node 9 of a 3-node instance
+        (["reduce", "--target", "maxflow", "--updates", "colors.txt"], AW_TEXT),
+    ],
+    ids=["dnf-header", "dimacs-literal", "short-edge-line", "recolor-out-of-range"],
+)
+def test_malformed_input_exits_2_without_traceback(argv, text, tmp_path, monkeypatch,
+                                                   capsys):
+    (tmp_path / "input.txt").write_text(text)
+    (tmp_path / "colors.txt").write_text("c 9 B\n")
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--in", "input.txt"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -345,3 +345,23 @@ def test_graph_file_rejects_garbage():
         parse_graph("e 1 2\n")
     with pytest.raises(ParseError):
         parse_graph("p graph 3\nz 1\n")
+
+
+def test_kconn_copy_keeps_the_oracle_factory():
+    built = []
+
+    def counting_factory(n, edges):
+        oracle = RebuildConnectivityOracle(n, edges)
+        built.append(oracle)
+        return oracle
+
+    graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    stream = UpdateStream.parse("e - 1 2\nq\n")
+    transcript = run_protocol(
+        lambda g: KconnVerifier(g, 2, oracle_factory=counting_factory),
+        reward_maximizing_prover(), graph, stream,
+    )
+    assert transcript.answers() == [0, 1, 1]
+    # one oracle for the verifier, one per simulated candidate proof
+    assert len(built) > 1
+    assert sum(o.calls for o in built[1:]) > 0

@@ -16,7 +16,6 @@ from dyncx.dnf import (
     NaiveAlgorithm,
     VarOutOfRange,
     augment_with_search_vars,
-    build_counters,
     clause,
     eval_bruteforce,
     first_dnf_query,
@@ -59,14 +58,14 @@ def test_clause_rejects_duplicate_variable():
 
 
 def test_counters_examples():
-    c = build_counters(DnfInstance(2, [clause(1, -2)], [1, 0], 2))
+    c = ClauseCounters(DnfInstance(2, [clause(1, -2)], [1, 0], 2))
     assert c.unsat == [0] and c.satisfied == 1
-    c = build_counters(DnfInstance(2, [clause(1, 2)], [0, 0], 2))
+    c = ClauseCounters(DnfInstance(2, [clause(1, 2)], [0, 0], 2))
     assert c.unsat == [2] and c.satisfied == 0
 
 
 def test_flip_example_and_idempotence():
-    c = build_counters(DnfInstance(2, [clause(1, -2)], [1, 0], 2))
+    c = ClauseCounters(DnfInstance(2, [clause(1, -2)], [1, 0], 2))
     assert c.flip(1, 1) == 0
     before = (list(c.unsat), c.satisfied, c.meter.count)
     assert c.flip(1, 1) == 0  # same value: no-op
@@ -74,14 +73,14 @@ def test_flip_example_and_idempotence():
 
 
 def test_flip_out_of_range():
-    c = build_counters(DnfInstance(2, [clause(1)], [0, 0], 1))
+    c = ClauseCounters(DnfInstance(2, [clause(1)], [0, 0], 1))
     with pytest.raises(VarOutOfRange):
         c.flip(2, 1)
 
 
 def test_flip_touches_exactly_occurrence_list(rng):
     inst = rand_dnf(rng, n_hi=6, m_hi=6)
-    c = build_counters(inst)
+    c = ClauseCounters(inst)
     for _ in range(200):
         var = rng.randrange(inst.num_vars)
         bit = 1 - c.assignment[var]  # guaranteed real flip
@@ -103,7 +102,7 @@ def test_counters_agree_with_bruteforce(data):
         clauses.append(Clause(tuple(zip(vs, pols))))
     assignment = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     inst = DnfInstance(n, clauses, assignment, 3)
-    c = build_counters(inst)
+    c = ClauseCounters(inst)
     ref = DnfInstance(n, clauses, list(assignment), 3)
     flips = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)),
                                max_size=12))

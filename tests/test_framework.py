@@ -12,8 +12,10 @@ from dyncx.framework import (
     ParseError,
     ProbeMeter,
     ProofOutOfSpace,
+    UndecodableUpdate,
     UpdateStream,
     VerifierOutput,
+    _parse_token,
     constant_prover,
     decode_edge,
     decode_edge_set,
@@ -26,6 +28,7 @@ from dyncx.framework import (
     length_prefixed,
     polylog_budget,
     random_prover,
+    replay,
     reward_maximizing_prover,
     run_protocol,
     strip_length_prefix,
@@ -85,6 +88,40 @@ def test_stream_comments_and_blanks_ignored():
 def test_format_token_is_one_based():
     assert format_token(("f", 0, 1)) == "f 1 1"
     assert format_token(("e", "+", 0, 2)) == "e + 1 3"
+
+
+@given(st.one_of(
+    st.tuples(st.just("f"), st.integers(0, 99), st.integers(0, 1)),
+    st.tuples(st.just("e"), st.sampled_from("+-"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("c"), st.integers(0, 99), st.sampled_from("WB")),
+    st.just(("q",)),
+))
+def test_format_token_round_trips(tok):
+    assert _parse_token(format_token(tok).split()) == tok
+
+
+@pytest.mark.parametrize("tok", [
+    ("e", "+", 0, 1, 5),  # a capacitated arc would lose its capacity
+    ("f", 0, 2),
+    ("c", 0, "X"),
+    ("e", "*", 0, 1),
+    ("f", -1, 0),
+    ("q", 1),
+    ("u", 0, 1),
+])
+def test_format_token_refuses_what_it_cannot_write_back(tok):
+    with pytest.raises(UndecodableUpdate):
+        format_token(tok)
+
+
+def test_replay_reads_before_and_after_every_update():
+    class Counter:
+        value = 0
+
+        def apply(self, tok):
+            self.value += tok[1]
+
+    assert replay(Counter(), [("f", 2), ("f", 3)], lambda c: c.value) == [0, 2, 5]
 
 
 def test_verifier_output_validation():

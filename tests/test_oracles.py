@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 from dyncx.oracles import (
     diameter,
@@ -58,3 +60,19 @@ def test_sat_bruteforce_matches_hand_cases():
     assert sat_bruteforce(2, [(1, 2), (-1, 2)]) is True
     assert sat_bruteforce(2, []) is True
     assert sat_bruteforce(3, [(1,), (-1, 2), (-2, 3), (-3, -1)]) is False
+
+
+def test_sat_bruteforce_matches_enumeration():
+    rng = random.Random(3)
+    for n in range(1, 9):
+        for _ in range(12):
+            clauses = [
+                tuple(rng.choice((-1, 1)) * v
+                      for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+                for _ in range(rng.randint(0, 5 * n))
+            ]
+            want = any(
+                all(any(bits[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in clauses)
+                for bits in itertools.product((False, True), repeat=n)
+            )
+            assert sat_bruteforce(n, clauses) is want
