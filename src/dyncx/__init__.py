@@ -44,6 +44,7 @@ from .dnf import (
     eval_bruteforce,
     first_dnf_query,
     first_satisfied_bruteforce,
+    honest_dnf_prover,
     parse_dnf,
 )
 from .equiv import (

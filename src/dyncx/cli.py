@@ -151,7 +151,7 @@ def _pick_prover(problem: str, args):
         return random_prover(args.seed)
     if name == "honest":
         if problem == "dnf":
-            return reward_maximizing_prover()
+            return dnf.honest_dnf_prover()
         if problem == "conn":
             return connectivity.honest_conn_prover
         return connectivity.mincut_oracle_prover
@@ -216,8 +216,9 @@ def _ground_truths(problem, args, inst, stream) -> list[int]:
     if problem == "conn":
         return replay(inst.copy(), stream,
                       lambda g: int(oracles.is_connected(g.num_nodes, g.edges)))
-    return replay(inst.copy(), stream,
-                  lambda g: int(connectivity.mincut_bruteforce(g)[0] < args.k))
+    # below two nodes there is no cut to find: the answer is 0
+    return replay(inst.copy(), stream, lambda g: int(
+        g.num_nodes >= 2 and connectivity.mincut_bruteforce(g)[0] < args.k))
 
 
 def _verify_spanning(args, stream, report: RunReport) -> RunReport:

@@ -306,14 +306,14 @@ class SpanningForestProtocol:
 
     def apply(self, token) -> SpanningStep:
         self.step_no += 1
+        if token[0] not in ("e", "q"):
+            raise UndecodableUpdate(f"spanning protocol cannot apply {token!r}")
         if self.desynced:
             # a broken replacement leaves reps and oracle edges untrusted;
             # freeze rather than corrupt them further
             return self.report(token, valid=False)
         if token[0] == "q":
             return self.report(token)
-        if token[0] != "e":
-            raise UndecodableUpdate(f"spanning protocol cannot apply {token!r}")
         _, sign, u, v = token
         if sign == "+":
             return self._insert(token, u, v)
@@ -502,9 +502,15 @@ def mincut_bruteforce(graph: DynamicGraph, budget: int = 64):
 
 
 def mincut_oracle_prover(verifier: KconnVerifier, token) -> bytes:
-    """Honest prover: a witness cut when connectivity < k, else no proof."""
+    """Honest prover: a witness cut when connectivity < k, else no proof.
+
+    Below two nodes there is no cut, and the answer is 0 as in
+    `KconnVerifier.initial_output`.
+    """
     graph = verifier.graph.copy()
     graph.apply(token)
+    if graph.num_nodes < 2:
+        return BOTTOM
     value, witness = mincut_bruteforce(graph)
     if value < verifier.k:
         return encode_edge_set(sorted(witness))

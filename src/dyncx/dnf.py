@@ -4,7 +4,9 @@ An instance is a DNF formula F over n boolean variables together with a
 current assignment. Updates set one variable; the query is F's value. Two
 routes are implemented: a full scan (`eval_bruteforce`) and per-clause
 unsatisfied-literal counters (`ClauseCounters`) whose flip cost is the
-variable's occurrence-list length.
+variable's occurrence-list length. The counters also index the satisfied
+clauses, so the first satisfied one is at hand after every flip; the
+honest DNF prover (`honest_dnf_prover`) reads its proof from there.
 
 The "first satisfied clause" variant keeps a total order on clauses and asks
 for the first satisfied one. It reduces to plain dynamic DNF by adding
@@ -16,7 +18,9 @@ variables all-ones.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .framework import (
     BOTTOM,
@@ -131,33 +135,70 @@ def prune_unused(inst: DnfInstance) -> tuple[DnfInstance, list[int]]:
 
 
 class ClauseCounters:
-    """Per-clause count of unsatisfied literals plus a satisfied-clause tally.
+    """Per-clause count of unsatisfied literals, a satisfied-clause tally and
+    an index of the satisfied clause positions.
 
     flip() touches exactly the clauses in the variable's occurrence list; a
     flip to the current value is a no-op. `meter` counts those touches.
+    `first()` names the smallest satisfied position: satisfied positions sit
+    in a lazy min-heap, pushed when their count reaches zero and popped once
+    they are found unsatisfied at its top, so a flip costs its occurrences
+    plus O(log m) per clause it satisfies.
     """
 
     def __init__(self, inst: DnfInstance):
         inst.validate()
-        self.num_vars = inst.num_vars
-        self.clauses = inst.clauses
-        self.assignment = list(inst.assignment)
-        self.occ: list[list[tuple[int, bool]]] = [[] for _ in range(inst.num_vars)]
-        self.unsat = []
-        self.satisfied = 0
-        self.meter = ProbeMeter()
-        for j, c in enumerate(inst.clauses):
+        self._fill(inst.num_vars, inst.assignment, len(inst.clauses),
+                   enumerate(c.literals for c in inst.clauses))
+
+    @classmethod
+    def from_literals(cls, num_vars: int, assignment, m: int, placed) -> "ClauseCounters":
+        """Counters without Clause objects; nothing is validated.
+
+        `placed` yields (position, literals) once for each position in
+        range(m), in any order; literals are (var, positive) pairs over
+        range(num_vars), each variable at most once per clause.
+        """
+        self = cls.__new__(cls)
+        self._fill(num_vars, assignment, m, placed)
+        return self
+
+    def _fill(self, num_vars, assignment, m, placed):
+        self.num_vars = num_vars
+        self.assignment = bits = list(assignment)
+        # occurrences of each variable, flattened: 2 * position + positive
+        self.occ = occ = [array("i") for _ in range(num_vars)]
+        self.unsat = unsat = [0] * m
+        self._queued = queued = bytearray(m)  # 1 while a position is in the heap
+        self._heap = heap = []
+        for j, literals in placed:
             bad = 0
-            for var, positive in c.literals:
-                self.occ[var].append((j, positive))
-                if bool(self.assignment[var]) != positive:
+            for var, positive in literals:
+                occ[var].append(2 * j + positive)
+                if bool(bits[var]) != positive:
                     bad += 1
-            self.unsat.append(bad)
-            if bad == 0:
-                self.satisfied += 1
+            if bad:
+                unsat[j] = bad
+            else:
+                heap.append(j)
+                queued[j] = 1
+        heapify(heap)
+        self.satisfied = len(heap)
+        self.meter = ProbeMeter()
 
     def answer(self) -> int:
         return 1 if self.satisfied > 0 else 0
+
+    def first(self) -> int | None:
+        """Smallest satisfied clause position, or None."""
+        heap, unsat = self._heap, self.unsat
+        while heap:
+            j = heap[0]
+            if unsat[j] == 0:
+                return j
+            heappop(heap)
+            self._queued[j] = 0
+        return None
 
     def flip(self, var: int, bit: int) -> int:
         if not 0 <= var < self.num_vars:
@@ -165,17 +206,24 @@ class ClauseCounters:
         if self.assignment[var] == bit:
             return self.answer()
         self.assignment[var] = bit
-        truthy = bool(bit)
-        for j, positive in self.occ[var]:
-            self.meter.charge()
-            if truthy == positive:  # literal just became true
-                self.unsat[j] -= 1
-                if self.unsat[j] == 0:
+        occ = self.occ[var]
+        self.meter.charge(len(occ))
+        truthy = 1 if bit else 0
+        unsat, queued = self.unsat, self._queued
+        for code in occ:
+            j = code >> 1
+            if code & 1 == truthy:  # literal just became true
+                left = unsat[j] - 1
+                unsat[j] = left
+                if left == 0:
                     self.satisfied += 1
+                    if not queued[j]:
+                        queued[j] = 1
+                        heappush(self._heap, j)
             else:
-                if self.unsat[j] == 0:
+                if unsat[j] == 0:
                     self.satisfied -= 1
-                self.unsat[j] += 1
+                unsat[j] += 1
         return self.answer()
 
     def toggle(self, var: int) -> int:
@@ -265,6 +313,32 @@ class DnfVerifier:
         if self.clauses[j].satisfied_by(self.assignment, self.meter):
             return VerifierOutput(1, 1)
         return VerifierOutput(0, -1)
+
+
+def honest_dnf_prover():
+    """The reward-maximizing proof for `DnfVerifier`, without the search.
+
+    The reward is 1 for a satisfied clause, 0 for BOTTOM and -1 otherwise,
+    and the maximizing prover breaks ties toward the earliest candidate, so
+    its choice is the first satisfied clause, else BOTTOM. This prover keeps
+    that clause at hand in a `ClauseCounters` mirror of the verifier's
+    assignment, built on the first call and rebuilt whenever it is handed a
+    different verifier, at O(occurrences + log m) per step.
+    """
+    mirrored = counters = None
+
+    def prover(verifier, token) -> bytes:
+        nonlocal mirrored, counters
+        if verifier is not mirrored:
+            clauses = verifier.clauses
+            mirrored, counters = verifier, ClauseCounters.from_literals(
+                verifier.num_vars, verifier.assignment, len(clauses),
+                enumerate(c.literals for c in clauses))
+        counters.apply(token)
+        j = counters.first()
+        return BOTTOM if j is None else encode_index(j)
+
+    return prover
 
 
 # ---------------------------------------------------------------------------

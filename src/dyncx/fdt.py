@@ -15,6 +15,8 @@ off an fdt oracle (`completeness_harness`).
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .framework import (
@@ -25,7 +27,7 @@ from .framework import (
     ProbeMeter,
     env_budget,
 )
-from .dnf import Clause, DnfInstance, FirstDnfInstance
+from .dnf import Clause, ClauseCounters, DnfInstance, FirstDnfInstance
 
 
 class IndexOutOfRange(DyncxError):
@@ -40,21 +42,21 @@ class EmptyCollection(DyncxError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     index: int
     left: int
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write:
     index: int
     bit: int
     child: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class End:
     x: int
     y: int
@@ -68,42 +70,47 @@ class DecisionTree:
     nodes: list
 
     def validate(self, memory_len: int | None = None) -> "DecisionTree":
-        if not self.nodes:
+        nodes = self.nodes
+        if not nodes:
             raise ParseError("tree has no nodes")
-        referenced: dict[int, int] = {}
-        for k, node in enumerate(self.nodes):
-            children = ()
+        size = len(nodes)
+        referenced: set[int] = set()
+        for k, node in enumerate(nodes):
+            if isinstance(node, End):
+                if node.x not in (0, 1):
+                    raise ParseError(f"node {k}: x label must be a bit")
+                continue
             if isinstance(node, Read):
                 children = (node.left, node.right)
             elif isinstance(node, Write):
                 if node.bit not in (0, 1):
                     raise ParseError(f"node {k}: write bit must be 0/1")
                 children = (node.child,)
-            elif isinstance(node, End):
-                if node.x not in (0, 1):
-                    raise ParseError(f"node {k}: x label must be a bit")
             else:
                 raise ParseError(f"node {k}: unknown node kind {node!r}")
-            if isinstance(node, (Read, Write)):
-                if memory_len is not None and not 0 <= node.index < memory_len:
-                    raise IndexOutOfRange(f"node {k}: index {node.index}")
+            if memory_len is not None and not 0 <= node.index < memory_len:
+                raise IndexOutOfRange(f"node {k}: index {node.index}")
             for c in children:
-                if not 0 <= c < len(self.nodes):
+                if not 0 <= c < size:
                     raise ParseError(f"node {k}: child {c} out of range")
                 if c in referenced or c == 0:
                     raise ParseError(f"node {c} referenced twice or is the root")
-                referenced[c] = k
-        if len(referenced) != len(self.nodes) - 1:
+                referenced.add(c)
+        if len(referenced) != size - 1:
             raise ParseError("unreachable nodes present")
         self._check_normal_form()
         return self
 
     def _check_normal_form(self):
-        # DFS carrying the sets of already-read and already-written indices
-        stack = [(0, frozenset(), frozenset())]
+        # DFS carrying the indices already read and already written on the
+        # path; nodes referenced once each can still form a cycle off the root
+        nodes = self.nodes
+        stack = [(0, (), ())]
+        reached = 0
         while stack:
             at, read_seen, written = stack.pop()
-            node = self.nodes[at]
+            reached += 1
+            node = nodes[at]
             if isinstance(node, Read):
                 if node.index in read_seen:
                     raise NotNormalized(f"variable {node.index} read twice on a path")
@@ -111,11 +118,13 @@ class DecisionTree:
                     raise NotNormalized(
                         f"variable {node.index} read after a write on a path"
                     )
-                nxt = read_seen | {node.index}
+                nxt = read_seen + (node.index,)
                 stack.append((node.left, nxt, written))
                 stack.append((node.right, nxt, written))
             elif isinstance(node, Write):
-                stack.append((node.child, read_seen, written | {node.index}))
+                stack.append((node.child, read_seen, written + (node.index,)))
+        if reached != len(nodes):
+            raise ParseError("unreachable nodes present")
 
     def depth(self) -> int:
         best = 0
@@ -202,6 +211,27 @@ def fdt_update(inst: FdtInstance, position: int, value: int) -> FdtInstance:
 # ---------------------------------------------------------------------------
 
 
+def root_to_leaf_paths(tree: DecisionTree):
+    """Yield (leaf node id, literals) per root-to-leaf path, left before right.
+
+    Left branches contribute negated literals, right branches positive ones,
+    as (index, positive) pairs; write nodes contribute nothing (normal form
+    guarantees later reads never see them). Each End node ends one path.
+    """
+    stack = [(0, ())]
+    nodes = tree.nodes
+    while stack:
+        at, lits = stack.pop()
+        node = nodes[at]
+        if isinstance(node, End):
+            yield at, lits
+        elif isinstance(node, Read):
+            stack.append((node.right, lits + ((node.index, True),)))
+            stack.append((node.left, lits + ((node.index, False),)))
+        else:
+            stack.append((node.child, lits))
+
+
 @dataclass
 class FdnfImage:
     """first-DNF picture of a tree collection plus provenance per clause."""
@@ -211,35 +241,17 @@ class FdnfImage:
     clause_leaf: list[int]
     clause_rank: list[int]
 
-    def tree_of_clause(self, j: int) -> int:
-        return self.clause_tree[j]
-
 
 def fdt_to_fdnf(inst: FdtInstance) -> FdnfImage:
-    """One clause per root-to-leaf path; left branches contribute negated
-    literals, right branches positive ones; write nodes contribute nothing
-    (normal form guarantees later reads never see them). Clause order is
-    descending leaf rank, ties by (tree index, path discovery order)."""
+    """One clause per root-to-leaf path (`root_to_leaf_paths`). Clause order
+    is descending leaf rank, ties by (tree index, path discovery order)."""
     inst.validate()
     clauses: list[Clause] = []
     provenance: list[tuple[int, int, int]] = []  # (tree, leaf, rank)
     for t_idx, tree in enumerate(inst.trees):
-        # iterative DFS, left before right, = path discovery order
-        stack = [(0, ())]
-        discovered = []
-        while stack:
-            at, lits = stack.pop()
-            node = tree.nodes[at]
-            if isinstance(node, End):
-                discovered.append((lits, at, node.rank))
-            elif isinstance(node, Read):
-                stack.append((node.right, lits + ((node.index, True),)))
-                stack.append((node.left, lits + ((node.index, False),)))
-            else:
-                stack.append((node.child, lits))
-        for lits, leaf, rank in discovered:
+        for leaf, lits in root_to_leaf_paths(tree):
             clauses.append(Clause(lits))
-            provenance.append((t_idx, leaf, rank))
+            provenance.append((t_idx, leaf, tree.nodes[leaf].rank))
     base = DnfInstance(
         num_vars=len(inst.memory),
         clauses=clauses,
@@ -276,19 +288,21 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     if len(inst.clauses) > budget:
         raise BudgetExceeded(f"{len(inst.clauses)} clauses exceeds budget {budget}")
     trees = []
+    # leaves are immutable, so every node list holds the same two objects
+    accept, reject = End(1, 1, 1), End(0, -1, -1)
     for c in inst.clauses:
         if not c.literals:
-            trees.append(DecisionTree([End(1, 1, 1)]).validate())
+            trees.append(DecisionTree([accept]).validate())
             continue
         nodes: list = [None] * len(c.literals)
         success = len(nodes)
-        nodes.append(End(1, 1, 1))
+        nodes.append(accept)
         # one shared fail leaf per mismatch keeps this a tree, not a DAG,
-        # so each literal gets its own copy
+        # so each literal gets its own node position
         for depth, (var, positive) in enumerate(c.literals):
             follow = depth + 1 if depth + 1 < len(c.literals) else success
             fail = len(nodes)
-            nodes.append(End(0, -1, -1))
+            nodes.append(reject)
             nodes[depth] = Read(var, fail, follow) if positive else Read(var, follow, fail)
         trees.append(DecisionTree(nodes).validate())
     trees.append(DecisionTree([End(0, 0, 0)]).validate())
@@ -296,18 +310,52 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
 
 
 class FdtOracle:
-    """Materialized mirror of the verifier memory plus the tree collection."""
+    """Mirror of the verifier memory that answers the rank argmax by index.
+
+    Every root-to-leaf path of every tree is a clause (`root_to_leaf_paths`)
+    held in a `ClauseCounters`, at its position in `fdt_to_fdnf`'s order
+    (-rank, tree, discovery). In normal form exactly one path per tree is
+    satisfied on the current memory, so the first satisfied position
+    belongs to `fdt_answer`'s tree. An update costs the bit's occurrences
+    over all paths, an answer O(log paths) amortized.
+    """
 
     def __init__(self, inst: FdtInstance):
         self.inst = inst.validate()
         self.updates = 0
+        # one path per End node: bucket start per rank, highest rank first
+        per_rank = Counter(
+            node.rank for t in inst.trees for node in t.nodes if isinstance(node, End)
+        )
+        offset, total = {}, 0
+        for rank in sorted(per_rank, reverse=True):
+            offset[rank] = total
+            total += per_rank[rank]
+        self.path_tree = array("i", [0]) * total
+
+        def placed():
+            for t_idx, tree in enumerate(inst.trees):
+                for leaf, lits in root_to_leaf_paths(tree):
+                    rank = tree.nodes[leaf].rank
+                    pos = offset[rank]
+                    offset[rank] = pos + 1
+                    self.path_tree[pos] = t_idx
+                    yield pos, lits
+
+        self.paths = ClauseCounters.from_literals(
+            len(inst.memory), inst.memory, total, placed()
+        )
 
     def update(self, position: int, value: int):
         self.updates += 1
         fdt_update(self.inst, position, value)
+        self.paths.flip(position, value)
 
     def answer(self) -> int:
-        return fdt_answer(self.inst)
+        pos = self.paths.first()
+        if pos is None:
+            raise EmptyCollection("no trees to choose from")
+        return self.path_tree[pos]
 
     def memory_view(self) -> list[int]:
         return list(self.inst.memory)

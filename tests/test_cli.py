@@ -123,6 +123,21 @@ def test_verify_kconn_reads_k_header(tmp_path, capsys):
     assert payload["steps"][0]["x"] == 1  # a path has a bridge
 
 
+@pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+def test_verify_kconn_on_one_node_reads_no(tmp_path, capsys, check):
+    path = tmp_path / "one.txt"
+    path.write_text("p graph 1\n")
+    (tmp_path / "q.txt").write_text("q\nq\n")
+    rc, payload = run_json(
+        capsys, ["verify", "--problem", "kconn", "--k", "2", "--in", str(path),
+                 "--updates", str(tmp_path / "q.txt")] + check
+    )
+    assert rc == 0
+    assert [s["x"] for s in payload["steps"]] == [0, 0, 0]
+    if check:
+        assert payload["flags"] == {"sound": True, "complete": True}
+
+
 def test_verify_kconn_without_k_errors(files, capsys):
     rc = main(["verify", "--problem", "kconn", "--in", files["graph.txt"]])
     assert rc == 2
@@ -251,6 +266,19 @@ def test_module_entry_point(files):
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+def test_spanning_forest_refuses_a_non_graph_token_after_a_desync(files, capsys, check):
+    stream = Path(files["edges.txt"]).with_name("desync.txt")
+    stream.write_text("e - 1 2\nf 1 1\n")
+    rc = main(["verify", "--problem", "spanning-forest", "--in", files["graph.txt"],
+               "--updates", str(stream), "--prover", "adversarial:stubborn"] + check)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -25,6 +25,7 @@ from dyncx.framework import (
     Episode,
     ParseError,
     ProofOutOfSpace,
+    UndecodableUpdate,
     UpdateStream,
     constant_prover,
     encode_edge,
@@ -201,6 +202,15 @@ def test_stubborn_prover_desyncs_and_stays_invalid():
     assert not report.valid
 
 
+def test_desynced_protocol_still_refuses_foreign_tokens():
+    graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    protocol = SpanningForestProtocol(graph, prover=stubborn_replacement_prover)
+    protocol.apply(("e", "-", 0, 1))
+    assert protocol.desynced
+    with pytest.raises(UndecodableUpdate):
+        protocol.apply(("f", 0, 1))
+
+
 def test_honest_replacement_prover_names_a_straddling_edge():
     graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     protocol = SpanningForestProtocol(graph)
@@ -274,6 +284,13 @@ def test_kconn_completeness_with_mincut_prover(rng):
             lambda g: KconnVerifier(g, k), mincut_oracle_prover, graph, stream
         )
         assert transcript.answers() == replay_truths(graph, stream, judge)
+
+
+def test_mincut_prover_concedes_below_two_nodes():
+    transcript = run_protocol(lambda g: KconnVerifier(g, 2), mincut_oracle_prover,
+                              DynamicGraph(1), [("q",)])
+    assert transcript.answers() == [0, 0]
+    assert transcript[1].proof == BOTTOM
 
 
 def test_kconn_soundness(rng):

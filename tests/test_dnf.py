@@ -21,6 +21,7 @@ from dyncx.dnf import (
     first_dnf_query,
     first_satisfied_bruteforce,
     format_dnf,
+    honest_dnf_prover,
     parse_dnf,
     prune_unused,
 )
@@ -28,6 +29,7 @@ from dyncx.framework import (
     BOTTOM,
     Episode,
     ParseError,
+    UndecodableUpdate,
     UpdateStream,
     constant_prover,
     encode_index,
@@ -116,6 +118,49 @@ def test_counters_agree_with_bruteforce(data):
         assert c.satisfied == sum(1 for k in recount if k == 0)
 
 
+def dnf_instances(data, m_max=6):
+    """Instances with m from 0 and clauses of zero to three literals."""
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(0, m_max))
+    clauses = []
+    for _ in range(m):
+        vs = data.draw(st.lists(st.integers(0, n - 1), max_size=min(3, n), unique=True))
+        pols = data.draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
+        clauses.append(Clause(tuple(zip(vs, pols))))
+    assignment = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return DnfInstance(n, clauses, assignment, 3)
+
+
+def dnf_streams(data, n):
+    flip = st.tuples(st.just("f"), st.integers(0, n - 1), st.integers(0, 1))
+    return data.draw(st.lists(st.one_of(flip, st.just(("q",))), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_names_the_smallest_satisfied_clause(data):
+    inst = dnf_instances(data)
+    c = ClauseCounters(inst)
+    ref = inst.copy()
+    first = FirstDnfInstance(ref, list(range(len(inst.clauses))))
+    assert c.first() == first_satisfied_bruteforce(first)
+    for tok in dnf_streams(data, inst.num_vars):
+        c.apply(tok)
+        ref.apply(tok)
+        assert c.first() == first_satisfied_bruteforce(first)
+        # the lazy heap holds each position at most once
+        assert len(set(c._heap)) == len(c._heap) <= len(inst.clauses)
+
+
+def test_from_literals_places_clauses_in_any_order():
+    lits = [((0, True),), ((1, False), (0, True)), ()]
+    c = ClauseCounters.from_literals(2, [1, 1], 3, [(2, lits[2]), (0, lits[0]),
+                                                     (1, lits[1])])
+    ref = ClauseCounters(DnfInstance(2, [Clause(l) for l in lits], [1, 1]))
+    assert (c.unsat, c.satisfied, c.first()) == (ref.unsat, ref.satisfied, 0)
+    assert c.occ == ref.occ
+
+
 def test_naive_and_counters_match_over_streams(rng):
     for _ in range(50):
         inst = rand_dnf(rng)
@@ -172,6 +217,38 @@ def test_verifier_completeness_under_maximizing_prover(rng):
             ref.apply(tok)
             truths.append(eval_bruteforce(ref))
         assert transcript.answers() == truths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_honest_dnf_prover_transcript_equals_maximizing(data):
+    inst = dnf_instances(data)
+    stream = dnf_streams(data, inst.num_vars)
+    want = run_protocol(DnfVerifier, reward_maximizing_prover(), inst, stream).to_json()
+    got = run_protocol(DnfVerifier, honest_dnf_prover(), inst, stream).to_json()
+    assert got == want
+
+
+def test_honest_dnf_prover_follows_a_new_verifier(rng):
+    prover = honest_dnf_prover()
+    for _ in range(20):
+        inst = rand_dnf(rng)
+        stream = rand_flip_stream(rng, inst.num_vars, 10, query_rate=0.2)
+        want = run_protocol(DnfVerifier, reward_maximizing_prover(), inst, stream)
+        assert run_protocol(DnfVerifier, prover, inst, stream).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("make", [reward_maximizing_prover, honest_dnf_prover])
+@pytest.mark.parametrize("token, error", [
+    (("f", 2, 1), VarOutOfRange),
+    (("e", "+", 0, 1), UndecodableUpdate),
+])
+@pytest.mark.parametrize("clauses", [[], [Clause(())], [clause(1, -2)]],
+                         ids=["m=0", "empty-clause", "one-clause"])
+def test_dnf_provers_refuse_the_same_tokens(make, token, error, clauses):
+    inst = DnfInstance(2, clauses, [0, 1])
+    with pytest.raises(error):
+        run_protocol(DnfVerifier, make(), inst, [("f", 0, 1), ("q",), token])
 
 
 def test_verifier_soundness_fuzzed(rng):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncx.dnf import DnfInstance, clause, eval_bruteforce, first_satisfied_bruteforce, parse_dnf
 from dyncx.fdt import (
@@ -88,6 +89,13 @@ def test_validate_rejects_bad_bits_and_dangling_children():
         DecisionTree([Read(0, 1, 5), End(0, 0, 0)]).validate(1)
     with pytest.raises(ParseError):
         DecisionTree([]).validate(1)
+
+
+def test_validate_rejects_a_cycle_off_the_root():
+    # every non-root node is referenced once, yet nodes 1-3 hang off a cycle
+    t = DecisionTree([End(0, 0, 0), Read(0, 2, 3), Write(1, 1, 1), End(1, 1, 1)])
+    with pytest.raises(ParseError):
+        t.validate(2)
 
 
 def test_instance_validate_covers_every_tree():
@@ -317,6 +325,60 @@ def test_compile_budget():
     inst = parse_dnf("p dnf 2 2 1\n1 0\n2 0\na 0 0\n")
     with pytest.raises(BudgetExceeded):
         compile_dnf_verifier_to_trees(inst, budget=1)
+
+
+def drawn_tree(data, width):
+    """A normal-form tree with writes and ranks in -2..2 (ties and negatives)."""
+    nodes = []
+
+    def grow(read_seen, written, depth):
+        at = len(nodes)
+        fresh = [i for i in range(width) if i not in read_seen | written]
+        kind = data.draw(st.sampled_from(["end", "write", "read"] if depth < 4 else ["end"]))
+        if kind == "end" or (kind == "read" and not fresh):
+            nodes.append(End(data.draw(st.integers(0, 1)), 0, data.draw(st.integers(-2, 2))))
+            return at
+        nodes.append(None)
+        if kind == "write":
+            cell = data.draw(st.integers(0, width - 1))
+            child = grow(read_seen, written | {cell}, depth + 1)
+            nodes[at] = Write(cell, data.draw(st.integers(0, 1)), child)
+            return at
+        cell = data.draw(st.sampled_from(fresh))
+        left = grow(read_seen | {cell}, written, depth + 1)
+        right = grow(read_seen | {cell}, written, depth + 1)
+        nodes[at] = Read(cell, left, right)
+        return at
+
+    grow(frozenset(), frozenset(), 0)
+    return DecisionTree(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_oracle_answer_equals_rank_argmax_after_every_update(data):
+    width = data.draw(st.integers(1, 4))
+    trees = [drawn_tree(data, width) for _ in range(data.draw(st.integers(1, 5)))]
+    memory = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    ref = FdtInstance(list(memory), trees).validate()
+    oracle = FdtOracle(FdtInstance(list(memory), trees))
+    assert oracle.answer() == fdt_answer(ref)
+    updates = st.tuples(st.integers(0, width - 1), st.integers(0, 1))
+    drawn = data.draw(st.lists(updates, max_size=15))
+    for pos, bit in drawn:
+        oracle.update(pos, bit)
+        fdt_update(ref, pos, bit)
+        assert oracle.memory_view() == ref.memory
+        assert oracle.answer() == fdt_answer(ref)
+    assert oracle.updates == len(drawn)
+
+
+def test_oracle_refuses_what_the_reference_refuses():
+    with pytest.raises(EmptyCollection):
+        FdtOracle(FdtInstance([0], [])).answer()
+    oracle = FdtOracle(FdtInstance([0, 0], [single_read()]))
+    with pytest.raises(IndexOutOfRange):
+        oracle.update(2, 1)
 
 
 # ---------------------------------------------------------------------------
