@@ -10,8 +10,16 @@ Three layers:
 * `SpanningForestProtocol`: drives a connectivity oracle over the graph
   plus a super node holding one edge per component representative, turning
   yes/no connectivity answers into an explicitly maintained spanning forest.
+  Its default oracle, `ForestConnectivityOracle`, keeps its own spanning
+  forest; `RebuildConnectivityOracle` is the brute-force reference.
 * `KconnVerifier`: one-round protocol for "is edge connectivity < k";
   the proof is a set of at most k-1 edges whose removal disconnects.
+
+Replacement searches (the honest provers and `ForestConnectivityOracle`)
+follow Henzinger and King: walk the Euler tour of the smaller side of the
+cut and read the graph edges at its vertices, O(vol(smaller side)) plus the
+walk per forest-edge deletion. The walks are unmetered (`DynamicForest`'s
+tour walks), so prover work never lands on a verifier's probe count.
 """
 
 from __future__ import annotations
@@ -49,13 +57,22 @@ class InvalidReplacement(DyncxError):
 
 @dataclass
 class DynamicGraph:
-    """Undirected simple graph on a fixed node set."""
+    """Undirected simple graph on a fixed node set.
+
+    `adj[v]` is v's neighbour set, kept in step with `edges`; equality
+    compares the node count and edge set only.
+    """
 
     num_nodes: int
     edges: set[tuple[int, int]] = field(default_factory=set)
+    adj: list[set[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = {self._key(u, v) for u, v in self.edges}
+        self.adj = [set() for _ in range(self.num_nodes)]
+        for u, v in self.edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
 
     def _key(self, u: int, v: int) -> tuple[int, int]:
         if u == v:
@@ -72,15 +89,23 @@ class DynamicGraph:
         if key in self.edges:
             raise DuplicateEdge(f"edge {key} already present")
         self.edges.add(key)
+        self.adj[u].add(v)
+        self.adj[v].add(u)
 
     def delete(self, u: int, v: int):
         key = self._key(u, v)
         if key not in self.edges:
             raise UnknownEdge(f"edge {key} not present")
         self.edges.remove(key)
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
 
     def copy(self) -> "DynamicGraph":
-        return DynamicGraph(self.num_nodes, set(self.edges))
+        dup = object.__new__(DynamicGraph)
+        dup.num_nodes = self.num_nodes
+        dup.edges = set(self.edges)
+        dup.adj = [set(nbrs) for nbrs in self.adj]
+        return dup
 
     def apply(self, token):
         if token[0] == "e":
@@ -96,10 +121,29 @@ class DynamicGraph:
 
 
 def spanning_forest_of(graph: DynamicGraph, forest: DynamicForest):
-    """Greedy preprocessing fill; unbounded time is fine here."""
-    for u, v in sorted(graph.edges):
-        if not forest.connected(u, v):
-            forest.link(u, v)
+    """Greedy preprocessing fill of an edgeless forest: the forest that
+    linking `sorted(graph.edges)` in turn gives, built in one pass."""
+    forest.build(sorted(graph.edges))
+
+
+def _lightest_link(graph: DynamicGraph, forest: DynamicForest, side, tree, skip):
+    """Smallest graph edge (a, b), a < b, other than `skip`, joining a vertex
+    of `side` to a vertex of `tree` outside `side`; None if there is none.
+
+    Reads only the edges at `side`. Tree membership is checked by identity,
+    because a forest that is not maximal can have graph edges into a third
+    tree.
+    """
+    inside = set(side)
+    best = None
+    for x in side:
+        for y in graph.adj[x]:
+            if y in inside:
+                continue
+            key = (x, y) if x < y else (y, x)
+            if (best is None or key < best) and key != skip and forest.tree_of(y) is tree:
+                best = key
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +223,23 @@ class ConnVerifier:
 def honest_conn_prover(verifier: ConnVerifier, token) -> bytes:
     """Offer the smallest replacement edge that mends the pending cut.
 
-    Provers speak before the verifier consumes the update, so the cut is
-    previewed on a snapshot. Mirrors what the reward maximizer picks: y=1
-    beats y=0, and among y=1 candidates the enumeration order is ascending
-    edge encoding.
+    Provers speak before the verifier consumes the update, so the search
+    reads the uncut forest: it walks the smaller side S that cutting (u, v)
+    would leave and takes the smallest other graph edge from S to the rest
+    of u's tree, in O(vol(S)) plus the walk, without touching the verifier's
+    meter or RNG. That is what the reward maximizer picks: y=1 beats y=0,
+    and among y=1 candidates the enumeration order is ascending edge
+    encoding.
     """
     if token[0] != "e" or token[1] != "-":
         return BOTTOM
     _, _, u, v = token
-    if not verifier.forest.has_edge(u, v):
+    forest = verifier.forest
+    if not forest.has_edge(u, v):
         return BOTTOM
-    sim = verifier.copy()
-    sim.step(token, BOTTOM)
-    for a, b in sorted(sim.graph.edges):
-        straddles = (
-            sim.forest.connected(a, u) and sim.forest.connected(b, v)
-        ) or (sim.forest.connected(a, v) and sim.forest.connected(b, u))
-        if straddles:
-            return encode_edge(a, b)
-    return BOTTOM
+    edge = _lightest_link(verifier.graph, forest, forest.smaller_side(u, v),
+                          forest.tree_of(u), (min(u, v), max(u, v)))
+    return BOTTOM if edge is None else encode_edge(*edge)
 
 
 def cycle_making_prover(verifier: ConnVerifier, token) -> bytes:
@@ -224,7 +266,11 @@ def ghost_edge_prover(verifier: ConnVerifier, token) -> bytes:
 
 
 class RebuildConnectivityOracle:
-    """Connectivity oracle over a mutable edge set; union-find per query."""
+    """Connectivity oracle over a mutable edge set; union-find per query.
+
+    The brute-force reference, and `KconnVerifier`'s default: kconn builds
+    a fresh oracle per candidate proof, where set-up dominates.
+    """
 
     def __init__(self, num_nodes: int, edges):
         self.num_nodes = num_nodes
@@ -254,6 +300,52 @@ class RebuildConnectivityOracle:
         return oracles.is_connected(self.num_nodes, self.edges)
 
 
+class ForestConnectivityOracle:
+    """Exact dynamic connectivity: a maximal spanning forest of the edge set
+    and its component count, behind `RebuildConnectivityOracle`'s interface,
+    `calls` count and exceptions.
+
+    Deleting a tree edge searches the smaller of the two trees it leaves
+    for a graph edge to relink, O(vol(smaller tree)) plus the walk. The
+    search is exhaustive, so finding none proves a real split.
+    """
+
+    def __init__(self, num_nodes: int, edges):
+        self.graph = DynamicGraph(num_nodes, edges)
+        self.forest = DynamicForest(num_nodes)
+        spanning_forest_of(self.graph, self.forest)
+        self.components = num_nodes - self.forest.edge_count
+        self.calls = 0
+
+    def insert(self, u, v):
+        self.calls += 1
+        self.graph.insert(u, v)
+        if not self.forest.connected(u, v):
+            self.forest.link(u, v)
+            self.components -= 1
+
+    def delete(self, u, v):
+        self.calls += 1
+        self.graph.delete(u, v)
+        if not self.forest.has_edge(u, v):
+            return
+        self.forest.cut(u, v)
+        side = self.forest.smaller_tree(u, v)
+        inside = set(side)
+        for x in side:
+            for y in self.graph.adj[x]:
+                # the forest is maximal, so an edge leaving one tree enters
+                # the other
+                if y not in inside:
+                    self.forest.link(x, y)
+                    return
+        self.components += 1
+
+    def is_connected(self) -> bool:
+        self.calls += 1
+        return self.components <= 1
+
+
 @dataclass
 class SpanningStep:
     step: int
@@ -280,25 +372,30 @@ class SpanningForestProtocol:
         self.super_node = n  # G' lives on nodes 0..n
         self.forest = DynamicForest(n, forest_seed)
         spanning_forest_of(self.graph, self.forest)
+        # sorted forest edges, dropped by every link and cut: the reports of
+        # steps that leave the forest alone share one list
+        self._forest_edges = None
         self.reps: set[int] = set()
         for v in range(n):
             if self.forest.component_min(v) == v:
                 self.reps.add(v)
         prime_edges = set(self.graph.edges)
         prime_edges |= {(rep, self.super_node) for rep in self.reps}
-        factory = oracle_factory or RebuildConnectivityOracle
+        factory = oracle_factory or ForestConnectivityOracle
         self.oracle = factory(n + 1, prime_edges)
         self.prover = prover or honest_replacement_prover
         self.desynced = False
         self.step_no = 0
 
     def report(self, update=None, valid=True) -> SpanningStep:
+        if self._forest_edges is None:
+            self._forest_edges = sorted(self.forest.tree_edges())
         return SpanningStep(
             self.step_no,
             update,
             valid and not self.desynced,
             len(self.reps),
-            sorted(self.forest.tree_edges()),
+            self._forest_edges,
         )
 
     def initial_report(self) -> SpanningStep:
@@ -327,6 +424,7 @@ class SpanningForestProtocol:
             rep_v = self.forest.component_min(v)
             loser = max(rep_u, rep_v)
             self.forest.link(u, v)
+            self._forest_edges = None
             self.reps.discard(loser)
             self.oracle.delete(loser, self.super_node)
         return self.report(token)
@@ -338,6 +436,7 @@ class SpanningForestProtocol:
             return self.report(token)
         old_rep = self.forest.component_min(u)
         self.forest.cut(u, v)
+        self._forest_edges = None
         if self.oracle.is_connected():
             # a replacement exists somewhere; the prover must name it
             proposal = self.prover(self, (u, v))
@@ -373,13 +472,16 @@ class SpanningForestProtocol:
 
 
 def honest_replacement_prover(protocol: SpanningForestProtocol, cut_edge):
+    """The smallest graph edge between the two trees the cut left, or None.
+
+    Walks the smaller tree only, O(vol(smaller tree)) plus the walk, and
+    reads the forest without its meter.
+    """
     u, v = cut_edge
-    for a, b in sorted(protocol.graph.edges):
-        if (
-            protocol.forest.connected(a, u) and protocol.forest.connected(b, v)
-        ) or (protocol.forest.connected(a, v) and protocol.forest.connected(b, u)):
-            return (a, b)
-    return None
+    forest = protocol.forest
+    side = forest.smaller_tree(u, v)
+    far = v if forest.tree_of(side[0]) is forest.tree_of(u) else u
+    return _lightest_link(protocol.graph, forest, side, forest.tree_of(far), None)
 
 
 def stubborn_replacement_prover(protocol: SpanningForestProtocol, cut_edge):

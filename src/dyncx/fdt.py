@@ -282,7 +282,11 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     Tree j walks clause j's literals in order; reaching the end means the
     clause is satisfied (leaf x=1, y=1, rank 1), any mismatch bails out
     (x=0, y=-1, rank -1). The final tree is a lone end node (x=0, y=0,
-    rank 0): conceding earns more than lying."""
+    rank 0): conceding earns more than lying.
+
+    The trees are in normal form by construction from the validated
+    instance (no clause repeats a variable); `FdtOracle` validates them
+    once, against the memory, when it is built."""
     inst.validate()
     budget = env_budget() if budget is None else budget
     if len(inst.clauses) > budget:
@@ -292,7 +296,7 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     accept, reject = End(1, 1, 1), End(0, -1, -1)
     for c in inst.clauses:
         if not c.literals:
-            trees.append(DecisionTree([accept]).validate())
+            trees.append(DecisionTree([accept]))
             continue
         nodes: list = [None] * len(c.literals)
         success = len(nodes)
@@ -304,8 +308,8 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
             fail = len(nodes)
             nodes.append(reject)
             nodes[depth] = Read(var, fail, follow) if positive else Read(var, follow, fail)
-        trees.append(DecisionTree(nodes).validate())
-    trees.append(DecisionTree([End(0, 0, 0)]).validate())
+        trees.append(DecisionTree(nodes))
+    trees.append(DecisionTree([End(0, 0, 0)]))
     return trees
 
 

@@ -9,6 +9,12 @@ counts are reproducible and can be held to a per-operation budget.
 
 Treap subtrees carry the minimum self-arc vertex id, which makes "smallest
 node in this component" a root lookup.
+
+`build` lays a whole greedy forest out in one pass (a DFS tour per tree,
+treaps by Cartesian-tree construction). `tree_of`, `tree_vertices`,
+`smaller_tree` and `smaller_side` are read-only tour walks for provers and
+oracles searching a cut: they charge no meter and draw no priorities, so
+the forest's own per-operation budgets and seeded shapes are untouched.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import random
 
 from .framework import DyncxError, ProbeMeter
+from .oracles import UnionFind
 
 INF = float("inf")
 
@@ -43,6 +50,72 @@ class _Arc:
 
     def own_key(self):
         return self.u if self.u == self.v else INF
+
+
+def _top(x: _Arc) -> _Arc:
+    """Treap root above x; unmetered."""
+    while x.parent is not None:
+        x = x.parent
+    return x
+
+
+def _position(x: _Arc) -> int:
+    """In-order position of x within its treap; unmetered."""
+    pos = x.left.size if x.left is not None else 0
+    while x.parent is not None:
+        if x.parent.right is x:
+            pos += 1 + (x.parent.left.size if x.parent.left is not None else 0)
+        x = x.parent
+    return pos
+
+
+def _vertices(root: _Arc, lo: int, hi: int) -> list[int]:
+    """Self-arc vertices at in-order positions lo..hi-1 of root's treap."""
+    out = []
+    stack = [(root, 0)]
+    while stack:
+        t, base = stack.pop()
+        if t is None or base >= hi or base + t.size <= lo:
+            continue
+        pos = base + (t.left.size if t.left is not None else 0)
+        if lo <= pos < hi and t.u == t.v:
+            out.append(t.u)
+        stack.append((t.left, base))
+        stack.append((t.right, pos + 1))
+    return out
+
+
+def _cartesian(arcs: list[_Arc]) -> _Arc:
+    """Treap over arcs in this in-order sequence, min priority on top, O(k)."""
+    spine: list[_Arc] = []
+
+    def close(x: _Arc):
+        # x's subtrees are final once it leaves the right spine
+        size, mn = 1, x.own_key()
+        for c in (x.left, x.right):
+            if c is not None:
+                size += c.size
+                if c.min_vertex < mn:
+                    mn = c.min_vertex
+        x.size = size
+        x.min_vertex = mn
+
+    for x in arcs:
+        last = None
+        while spine and spine[-1].prio > x.prio:
+            last = spine.pop()
+            close(last)
+        x.left = last
+        if last is not None:
+            last.parent = x
+        if spine:
+            spine[-1].right = x
+            x.parent = spine[-1]
+        spine.append(x)
+    root = spine[0]
+    while spine:
+        close(spine.pop())
+    return root
 
 
 class DynamicForest:
@@ -207,6 +280,54 @@ class DynamicForest:
         self._edges -= 1
         self.meter.end_op("cut")
 
+    def build(self, edges):
+        """Link, in order, each edge whose ends are still in different trees,
+        in one O(n + len(edges)) pass; the forest must have no edges yet.
+
+        The edge set, `tree_edges()` order and priority draws are those of
+        calling `link` on the same edges in turn; only the order of each
+        tour, and so the treap shapes, differ. Unmetered: this is preprocessing.
+        """
+        if self._edges:
+            raise ValueError("build needs a forest without edges")
+        uf = UnionFind(self.n)
+        adj: list[list] = [[] for _ in range(self.n)]
+        rand = self._rng.random
+        for u, v in edges:
+            self._check(u)
+            self._check(v)
+            if not uf.union(u, v):
+                continue
+            arc_uv = _Arc(u, v, rand())
+            arc_vu = _Arc(v, u, rand())
+            self._edge_arc[(u, v)] = arc_uv
+            self._edge_arc[(v, u)] = arc_vu
+            adj[u].append((v, arc_uv, arc_vu))
+            adj[v].append((u, arc_vu, arc_uv))
+            self._edges += 1
+        seen = bytearray(self.n)
+        for root in range(self.n):
+            if seen[root] or not adj[root]:
+                continue
+            # Euler tour by DFS: down arc, the child's tour, up arc
+            seen[root] = 1
+            tour = [self._self_arc[root]]
+            stack = [(iter(adj[root]), None)]
+            while stack:
+                children, up = stack[-1]
+                for w, down, back in children:
+                    if not seen[w]:
+                        seen[w] = 1
+                        tour.append(down)
+                        tour.append(self._self_arc[w])
+                        stack.append((iter(adj[w]), back))
+                        break
+                else:
+                    stack.pop()
+                    if up is not None:
+                        tour.append(up)
+            _cartesian(tour)
+
     def component_min(self, v: int) -> int:
         """Smallest vertex id in v's tree."""
         self._check(v)
@@ -221,6 +342,39 @@ class DynamicForest:
         arcs = self._root(self._self_arc[v]).size
         self.meter.end_op("component_size")
         return (arcs + 2) // 3
+
+    # -- unmetered tour walks -----------------------------------------------
+
+    def tree_of(self, v: int) -> _Arc:
+        """Identity of v's tree, to compare with `is`; valid until the next
+        link or cut."""
+        self._check(v)
+        return _top(self._self_arc[v])
+
+    def tree_vertices(self, v: int) -> list[int]:
+        """The vertices of v's tree, in no set order."""
+        root = self.tree_of(v)
+        return _vertices(root, 0, root.size)
+
+    def smaller_tree(self, u: int, v: int) -> list[int]:
+        """The vertices of the smaller of u's and v's trees (u's on a tie)."""
+        return self.tree_vertices(u if self.tree_of(u).size <= self.tree_of(v).size else v)
+
+    def smaller_side(self, u: int, v: int) -> list[int]:
+        """The vertices of the smaller side that `cut(u, v)` would leave,
+        without cutting: the arcs strictly between the edge's two arcs form
+        one side's tour, the rest of the tour the other's."""
+        if (u, v) not in self._edge_arc:
+            raise NotTreeEdge(f"({u},{v}) is not a forest edge")
+        i = _position(self._edge_arc[(u, v)])
+        j = _position(self._edge_arc[(v, u)])
+        if i > j:
+            i, j = j, i
+        root = _top(self._edge_arc[(u, v)])
+        inside = j - i - 1
+        if inside <= root.size - inside - 2:
+            return _vertices(root, i + 1, j)
+        return _vertices(root, 0, i) + _vertices(root, j + 1, root.size)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for (u, v) in self._edge_arc if u < v]

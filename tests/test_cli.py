@@ -209,6 +209,25 @@ def test_complete_demo_matches_oracle(files, capsys):
     assert all("mirrored_bits" in s for s in payload["steps"])
 
 
+def test_complete_demo_validates_each_tree_once(files, capsys, monkeypatch):
+    from dyncx.fdt import DecisionTree
+
+    seen = []
+    validate = DecisionTree.validate
+
+    def counting(tree, *args, **kwargs):
+        seen.append(id(tree))
+        return validate(tree, *args, **kwargs)
+
+    monkeypatch.setattr(DecisionTree, "validate", counting)
+    rc, payload = run_json(
+        capsys, ["complete-demo", "--in", files["inst.dnf"],
+                 "--updates", files["flips.txt"]]
+    )
+    assert rc == 0
+    assert len(seen) == len(set(seen)) == payload["counters"]["trees"]
+
+
 def test_bench_counters_win_at_the_largest_size(capsys):
     rc, payload = run_json(capsys, ["bench", "--sizes", "4,32", "--steps", "40"])
     assert rc == 0

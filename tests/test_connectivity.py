@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncx.connectivity import (
     ConnVerifier,
     DuplicateEdge,
     DynamicGraph,
+    ForestConnectivityOracle,
     KconnVerifier,
     RebuildConnectivityOracle,
     SpanningForestProtocol,
@@ -34,7 +36,7 @@ from dyncx.framework import (
     reward_maximizing_prover,
     run_protocol,
 )
-from dyncx.oracles import components, is_connected
+from dyncx.oracles import component_count, components, is_connected
 
 from conftest import rand_edge_stream, rand_graph
 
@@ -151,6 +153,93 @@ def test_rewards_never_exceed_one_per_step(rng):
     assert all(r.output.y in (0, 1) for r in transcript.records)
 
 
+def graph_streams(data, n_max=7):
+    """A graph and an edit stream over it: each step queries or toggles a
+    drawn node pair."""
+    n = data.draw(st.integers(2, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    graph = DynamicGraph(n, present)
+    stream = []
+    for pick in data.draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)),
+                                   max_size=25)):
+        if pick is None:
+            stream.append(("q",))
+            continue
+        sign = "-" if pick in present else "+"
+        (present.remove if sign == "-" else present.add)(pick)
+        stream.append(("e", sign, *pick))
+    return graph, stream
+
+
+def sorted_scan_prover(verifier, token):
+    """Reference search: cut a copy, then try every edge in sorted order."""
+    if token[0] != "e" or token[1] != "-" or not verifier.forest.has_edge(*token[2:]):
+        return BOTTOM
+    _, _, u, v = token
+    sim = verifier.copy()
+    sim.step(token, BOTTOM)
+    for a, b in sorted(sim.graph.edges):
+        if (sim.forest.connected(a, u) and sim.forest.connected(b, v)) or (
+            sim.forest.connected(a, v) and sim.forest.connected(b, u)
+        ):
+            return encode_edge(a, b)
+    return BOTTOM
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_honest_conn_transcript_equals_maximizing(data):
+    graph, stream = graph_streams(data)
+    honest = run_protocol(ConnVerifier, honest_conn_prover, graph, stream)
+    greedy = run_protocol(ConnVerifier, reward_maximizing_prover(), graph, stream)
+    assert honest.to_json() == greedy.to_json()
+
+
+def conceding_on(steps, prover):
+    """`prover`, except that the marked steps get the null proof."""
+    marks = iter(steps)
+    return lambda verifier, token: BOTTOM if next(marks) else prover(verifier, token)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_honest_conn_prover_after_conceded_cuts(data):
+    # a conceded tree-edge deletion leaves the forest non-maximal, so graph
+    # edges can join two trees that the next cut does not touch
+    graph, stream = graph_streams(data)
+    concede = data.draw(st.lists(st.booleans(), min_size=len(stream),
+                                 max_size=len(stream)))
+
+    def read_only(verifier, token):
+        forest = verifier.forest
+        before = (forest.meter.count, forest._rng.getstate(), forest.tree_edges())
+        proof = honest_conn_prover(verifier, token)
+        assert (forest.meter.count, forest._rng.getstate(), forest.tree_edges()) == before
+        return proof
+
+    got = run_protocol(ConnVerifier, conceding_on(concede, read_only), graph, stream)
+    want = run_protocol(ConnVerifier, conceding_on(concede, sorted_scan_prover),
+                        graph, stream)
+    assert got.to_json() == want.to_json()
+
+
+def test_honest_conn_prover_never_offers_an_edge_into_a_third_tree():
+    # forest: the star 1-{0, 2, 3}; (0, 3) and (2, 3) are non-tree edges
+    graph = DynamicGraph(4, {(0, 1), (1, 2), (1, 3), (2, 3)})
+    stream = [("e", "+", 0, 3), ("e", "-", 0, 1), ("e", "-", 1, 3)]
+    concede = [False, True, False]
+    honest = run_protocol(ConnVerifier, conceding_on(concede, honest_conn_prover),
+                          graph, stream)
+    greedy = run_protocol(ConnVerifier, conceding_on(concede, reward_maximizing_prover()),
+                          graph, stream)
+    # the conceded cut left {0} apart from {1, 2, 3} though (0, 3) joins
+    # them; cutting (1, 3) leaves the side {3}, whose edge (0, 3) reaches
+    # that third tree, and only (2, 3) mends the cut
+    assert honest[3].proof == encode_edge(2, 3)
+    assert greedy[3].proof == encode_edge(0, 3)
+
+
 # ---------------------------------------------------------------------------
 # spanning forest from an oracle
 # ---------------------------------------------------------------------------
@@ -209,6 +298,61 @@ def test_desynced_protocol_still_refuses_foreign_tokens():
     assert protocol.desynced
     with pytest.raises(UndecodableUpdate):
         protocol.apply(("f", 0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forest_oracle_matches_the_rebuild_oracle(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)] or [None]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs).filter(bool), unique=True)))
+    fast = ForestConnectivityOracle(n, edges)
+    ref = RebuildConnectivityOracle(n, edges)
+    calls = data.draw(st.lists(st.tuples(st.sampled_from("+-?"), st.sampled_from(pairs)),
+                               max_size=40))
+    for kind, pair in calls:
+        if kind == "?" or pair is None:
+            assert fast.is_connected() == ref.is_connected() == is_connected(n, edges)
+        else:
+            name = "insert" if kind == "+" else "delete"
+            error = (DuplicateEdge if pair in edges else None) if kind == "+" else (
+                None if pair in edges else UnknownEdge)
+            for oracle in (fast, ref):
+                if error is None:
+                    getattr(oracle, name)(*pair)
+                else:
+                    with pytest.raises(error):
+                        getattr(oracle, name)(*pair)
+            if error is None:
+                (edges.add if kind == "+" else edges.remove)(pair)
+        assert fast.calls == ref.calls
+        assert fast.components == component_count(n, edges)
+        assert fast.is_connected() == is_connected(n, edges)
+        ref.is_connected()
+
+
+@pytest.mark.parametrize("prover", [None, stubborn_replacement_prover])
+def test_spanning_reports_agree_under_either_oracle(rng, prover):
+    for _ in range(15):
+        graph = rand_graph(rng)
+        stream = rand_edge_stream(rng, graph, 40)
+        runs = []
+        for factory in (None, RebuildConnectivityOracle):
+            protocol = SpanningForestProtocol(graph, oracle_factory=factory, prover=prover)
+            reports = [protocol.initial_report()] + [protocol.apply(t) for t in stream]
+            runs.append((reports, protocol.oracle.calls))
+        assert runs[0] == runs[1]
+
+
+def test_spanning_reports_share_the_forest_list_until_it_changes():
+    graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    protocol = SpanningForestProtocol(graph)
+    first = protocol.initial_report()
+    assert first.forest_edges == [(0, 1), (0, 3), (1, 2)]
+    assert protocol.apply(("q",)).forest_edges is first.forest_edges
+    assert protocol.apply(("e", "-", 2, 3)).forest_edges is first.forest_edges
+    assert protocol.apply(("e", "-", 0, 1)).forest_edges == [(0, 3), (1, 2)]
+    assert first.forest_edges == [(0, 1), (0, 3), (1, 2)]
 
 
 def test_honest_replacement_prover_names_a_straddling_edge():
