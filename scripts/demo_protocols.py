@@ -26,7 +26,7 @@ from dyncx.connectivity import (
     mincut_bruteforce,
     mincut_oracle_prover,
 )
-from dyncx.framework import constant_prover, run_protocol
+from dyncx.framework import constant_prover, replay, run_protocol
 from dyncx.oracles import is_connected
 
 
@@ -89,11 +89,8 @@ def main(argv=None):
     print(f"graph: {graph.num_nodes} nodes, {len(graph.edges)} edges; "
           f"{args.steps} edits")
 
-    g = graph.copy()
-    truths = [1 if is_connected(g.num_nodes, g.edges) else 0]
-    for tok in stream:
-        g.apply(tok)
-        truths.append(1 if is_connected(g.num_nodes, g.edges) else 0)
+    truths = replay(graph.copy(), stream,
+                    lambda g: 1 if is_connected(g.num_nodes, g.edges) else 0)
 
     print("\nconnectivity verifier ('.' = agrees with ground truth)")
     show("honest prover", run_protocol(ConnVerifier, honest_conn_prover, graph, stream), truths)
@@ -120,11 +117,7 @@ def main(argv=None):
     ver_answers = run_protocol(
         lambda gr: KconnVerifier(gr, args.k), mincut_oracle_prover, graph, stream
     ).answers()
-    g = graph.copy()
-    cuts = [mincut_bruteforce(g)[0]]
-    for tok in stream:
-        g.apply(tok)
-        cuts.append(mincut_bruteforce(g)[0])
+    cuts = replay(graph.copy(), stream, lambda g: mincut_bruteforce(g)[0])
     marks = "".join(
         "." if x == (1 if c < args.k else 0) else "!"
         for x, c in zip(ver_answers, cuts)

@@ -129,6 +129,13 @@ def cmd_eval(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+_HONEST = {
+    "dnf": dnf.honest_dnf_prover,
+    "conn": lambda: connectivity.honest_conn_prover,
+    "kconn": lambda: connectivity.mincut_oracle_prover,
+    "spanning-forest": lambda: connectivity.honest_replacement_prover,
+}
+
 _ADVERSARIES = {
     "dnf": {"bottom": constant_prover(BOTTOM)},
     "conn": {
@@ -140,21 +147,18 @@ _ADVERSARIES = {
         "bottom": constant_prover(BOTTOM),
         "oversize": connectivity.oversized_proof_prover,
     },
+    "spanning-forest": {"stubborn": connectivity.stubborn_replacement_prover},
 }
 
 
 def _pick_prover(problem: str, args):
+    """The --prover for a problem; any other name is a DyncxError.
+
+    spanning-forest's provers return a replacement edge, not a proof from a
+    published space, so it takes only `honest` and its own adversaries."""
     name = args.prover
-    if name == "maximizing":
-        return reward_maximizing_prover()
-    if name == "random":
-        return random_prover(args.seed)
     if name == "honest":
-        if problem == "dnf":
-            return dnf.honest_dnf_prover()
-        if problem == "conn":
-            return connectivity.honest_conn_prover
-        return connectivity.mincut_oracle_prover
+        return _HONEST[problem]()
     if name.startswith("adversarial:"):
         table = _ADVERSARIES[problem]
         key = name.split(":", 1)[1]
@@ -163,7 +167,12 @@ def _pick_prover(problem: str, args):
                 f"unknown adversary {key!r} for {problem}; have {sorted(table)}"
             )
         return table[key]
-    raise DyncxError(f"unknown prover {name!r}")
+    if problem != "spanning-forest":
+        if name == "maximizing":
+            return reward_maximizing_prover()
+        if name == "random":
+            return random_prover(args.seed)
+    raise DyncxError(f"unknown prover {name!r} for {problem}")
 
 
 def cmd_verify(args) -> RunReport:
@@ -223,13 +232,8 @@ def _ground_truths(problem, args, inst, stream) -> list[int]:
 
 def _verify_spanning(args, stream, report: RunReport) -> RunReport:
     graph, _ = connectivity.parse_graph(_read(getattr(args, "in")))
-    prover = (
-        connectivity.stubborn_replacement_prover
-        if args.prover == "adversarial:stubborn"
-        else connectivity.honest_replacement_prover
-    )
     protocol = connectivity.SpanningForestProtocol(
-        graph, prover=prover, forest_seed=args.seed
+        graph, prover=_pick_prover("spanning-forest", args), forest_seed=args.seed
     )
     records = [protocol.initial_report()]
     for tok in stream:

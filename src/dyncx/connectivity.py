@@ -51,10 +51,6 @@ class DuplicateEdge(DyncxError):
     pass
 
 
-class InvalidReplacement(DyncxError):
-    pass
-
-
 @dataclass
 class DynamicGraph:
     """Undirected simple graph on a fixed node set.

@@ -483,16 +483,19 @@ def parse_ov(text: str) -> SparseOvInstance:
         if not line and (header is None or u is not None):
             continue
         parts = line.split()
-        if parts and parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "ov":
-                raise ParseError(f"line {lineno}: want 'p ov <n> <m>'")
-            header = (int(parts[2]), int(parts[3]))
-        elif parts and parts[0] == "u":
-            u = [int(b) for b in parts[1:]]
-        else:
-            # a blank line between header and u is an empty column; v_j with
-            # no support is orthogonal to everything
-            columns.append(sorted(int(tok) - 1 for tok in parts))
+        try:
+            if parts and parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "ov":
+                    raise ParseError(f"line {lineno}: want 'p ov <n> <m>'")
+                header = (int(parts[2]), int(parts[3]))
+            elif parts and parts[0] == "u":
+                u = [int(b) for b in parts[1:]]
+            else:
+                # a blank line between header and u is an empty column; v_j
+                # with no support is orthogonal to everything
+                columns.append(sorted(int(tok) - 1 for tok in parts))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
     if header is None:
         raise ParseError("missing 'p ov' header")
     n, m = header
@@ -520,20 +523,23 @@ def parse_hypergraph(text: str) -> HypergraphInstance:
         if not line and (header is None or seen_s):
             continue
         parts = line.split()
-        if parts and parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "hg":
-                raise ParseError(f"line {lineno}: want 'p hg <n> <m>'")
-            header = (int(parts[2]), int(parts[3]))
-        elif parts and parts[0] == "s":
-            s = {int(tok) - 1 for tok in parts[1:]}
-            seen_s = True
-        else:
-            nodes = tuple(sorted(int(tok) - 1 for tok in parts))
-            if not nodes:
-                # files must not carry them: such an edge is inside every S,
-                # so the instance answers "dependent" no matter what
-                raise ParseError(f"line {lineno}: empty hyperedge")
-            hyperedges.append(nodes)
+        try:
+            if parts and parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "hg":
+                    raise ParseError(f"line {lineno}: want 'p hg <n> <m>'")
+                header = (int(parts[2]), int(parts[3]))
+            elif parts and parts[0] == "s":
+                s = {int(tok) - 1 for tok in parts[1:]}
+                seen_s = True
+            else:
+                nodes = tuple(sorted(int(tok) - 1 for tok in parts))
+                if not nodes:
+                    # files must not carry them: such an edge is inside every
+                    # S, so the instance answers "dependent" no matter what
+                    raise ParseError(f"line {lineno}: empty hyperedge")
+                hyperedges.append(nodes)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
     if header is None:
         raise ParseError("missing 'p hg' header")
     n, m = header

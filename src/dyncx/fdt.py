@@ -321,11 +321,12 @@ class FdtOracle:
     (-rank, tree, discovery). In normal form exactly one path per tree is
     satisfied on the current memory, so the first satisfied position
     belongs to `fdt_answer`'s tree. An update costs the bit's occurrences
-    over all paths, an answer O(log paths) amortized.
+    over all paths, an answer O(log paths) amortized. The mirrored memory
+    is the counters' assignment.
     """
 
     def __init__(self, inst: FdtInstance):
-        self.inst = inst.validate()
+        inst.validate()
         self.updates = 0
         # one path per End node: bucket start per rank, highest rank first
         per_rank = Counter(
@@ -352,7 +353,8 @@ class FdtOracle:
 
     def update(self, position: int, value: int):
         self.updates += 1
-        fdt_update(self.inst, position, value)
+        if not 0 <= position < self.paths.num_vars:
+            raise IndexOutOfRange(f"position {position}")
         self.paths.flip(position, value)
 
     def answer(self) -> int:
@@ -362,7 +364,7 @@ class FdtOracle:
         return self.path_tree[pos]
 
     def memory_view(self) -> list[int]:
-        return list(self.inst.memory)
+        return list(self.paths.assignment)
 
 
 def completeness_harness(
@@ -370,15 +372,16 @@ def completeness_harness(
     memory,
     stream,
     oracle: FdtOracle | None = None,
-    audit: bool = True,
     trace: list | None = None,
 ):
     """Run a tree-compiled verifier, outsourcing proof choice to an oracle.
 
     Per step: apply the update to the verifier memory, mirror the changed
     bits into the oracle, take the oracle's argmax tree as the proof,
-    execute that tree on the verifier memory, mirror its writes back, and
-    emit the leaf's x label. The step-0 entry is the preprocessing answer.
+    execute that tree on the verifier memory, mirror its writes back, check
+    that the oracle's memory still equals the verifier's (`OracleDesync`
+    otherwise), and emit the leaf's x label. The step-0 entry is the
+    preprocessing answer.
     """
     memory = list(memory)
     if oracle is None:
@@ -396,7 +399,7 @@ def completeness_harness(
         for pos, bit in writes:
             oracle.update(pos, bit)
             mirrored += 1
-        if audit and oracle.memory_view() != memory:
+        if oracle.memory_view() != memory:
             raise OracleDesync("oracle memory diverged from verifier memory")
         if trace is not None:
             trace.append(
@@ -460,7 +463,10 @@ def parse_trees(text: str) -> FdtInstance:
             block = []
         elif parts[0] == "m":
             close()
-            memory = [int(b) for b in parts[1:]]
+            try:
+                memory = [int(b) for b in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad memory line {raw!r}") from exc
             if any(b not in (0, 1) for b in memory):
                 raise ParseError(f"line {lineno}: memory bits must be 0/1")
         elif parts[0] in ("R", "W", "E"):

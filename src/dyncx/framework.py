@@ -339,7 +339,7 @@ def run_protocol(verifier_factory, prover, initial_instance, stream) -> ProofTra
 # ---------------------------------------------------------------------------
 
 
-def reward_maximizing_prover(proof_space=None):
+def reward_maximizing_prover():
     """Exhaustive one-step-lookahead prover.
 
     Snapshots the verifier, simulates the pending step once per candidate
@@ -349,9 +349,7 @@ def reward_maximizing_prover(proof_space=None):
     """
 
     def prover(verifier, token) -> bytes:
-        space = list(
-            proof_space(verifier, token) if proof_space else verifier.proof_space(token)
-        )
+        space = list(verifier.proof_space(token))
         if not space:
             raise EmptyProofSpace("verifier published no candidate proofs")
         best_proof, best_y = None, None

@@ -2,8 +2,11 @@
 
 Everything here is the slow, obviously-correct route: union-find rebuilt
 from scratch, BFS all-pairs distances, Edmonds-Karp flow, iterative Tarjan.
-Decoders and --check paths lean on these; the dynamic structures elsewhere
-in the package are the fast route and never share code with this module.
+The reduction decoders, `RebuildConnectivityOracle`, the min-cut brute
+force and the --check paths lean on these. The dynamic structures are the
+fast route and check against this module rather than call it; the one
+exception is `forest.DynamicForest.build`, which picks the greedy forest
+it lays out with `UnionFind`.
 """
 
 from __future__ import annotations

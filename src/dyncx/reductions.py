@@ -11,7 +11,8 @@ The constructions place the colored nodes where the targets can toggle a
 single edge or node per recoloring, so one color flip is one target
 update throughout. Decoders lean on the brute-force solvers in
 `oracles`; the targets exist to validate answer correspondence, not to
-be fast.
+be fast. The diameter target is the connectivity protocols' own
+`DynamicGraph`.
 
 The module also carries the satisfiability driver: split the variables
 in half, scan all assignments of one half against clause nodes colored
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .framework import BudgetExceeded, ParseError, UndecodableUpdate, env_budget
+from .connectivity import DynamicGraph
 from .equiv import AllWhiteCounters, AllWhiteInstance, aw_bruteforce
 from . import oracles
 
@@ -88,33 +90,9 @@ class NodeSubgraphInstance:
             raise UndecodableUpdate(f"node subgraph cannot apply {token!r}")
 
     def induced_connected(self) -> bool:
-        live = [v for v in range(self.num_nodes) if self.on[v]]
-        if len(live) <= 1:
-            return True
-        index = {v: i for i, v in enumerate(live)}
-        uf = oracles.UnionFind(len(live))
-        for u, v in self.edges:
-            if self.on[u] and self.on[v]:
-                uf.union(index[u], index[v])
-        root = uf.find(0)
-        return all(uf.find(i) == root for i in range(1, len(live)))
-
-
-@dataclass
-class UndirectedGraphInstance:
-    num_nodes: int
-    edges: set[tuple[int, int]]
-
-    def apply(self, token):
-        if token[0] == "e" and token[1] == "+":
-            self.edges.add((min(token[2], token[3]), max(token[2], token[3])))
-        elif token[0] == "e" and token[1] == "-":
-            self.edges.discard((min(token[2], token[3]), max(token[2], token[3])))
-        else:
-            raise UndecodableUpdate(f"undirected graph cannot apply {token!r}")
-
-    def diameter(self) -> float:
-        return oracles.diameter(self.num_nodes, self.edges)
+        index = {v: i for i, v in enumerate(v for v in range(self.num_nodes) if self.on[v])}
+        induced = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
+        return oracles.is_connected(len(index), induced)
 
 
 @dataclass
@@ -252,13 +230,13 @@ def build_diameter(aw: AllWhiteInstance):
     for l, white in enumerate(aw.colors):
         if not white:
             edges.add((t, col0 + l))
-    target = UndirectedGraphInstance(col0 + aw.num_l, edges)
+    target = DynamicGraph(col0 + aw.num_l, edges)
 
     def on_flip(node, white):
         return ("e", "-" if white else "+", t, col0 + node)
 
-    def decoder(tgt: UndirectedGraphInstance) -> int:
-        return 0 if tgt.diameter() == 3 else 1
+    def decoder(tgt: DynamicGraph) -> int:
+        return 0 if oracles.diameter(tgt.num_nodes, tgt.edges) == 3 else 1
 
     return target, _ColorTranslator(aw.colors, on_flip), decoder
 
@@ -510,7 +488,8 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
                 if lit < 0:
                     sat2[c] += 1
     colors = [count > 0 for count in sat2]  # white = satisfied by the half
-    aw = AllWhiteInstance(m, num_r, edges, colors).validate()
+    # valid by construction; AllWhiteCounters validates it on entry
+    aw = AllWhiteInstance(m, num_r, edges, colors)
     solver = (aw_solver or AllWhiteCounters)(aw)
 
     phases = 1

@@ -143,6 +143,33 @@ def test_verify_kconn_without_k_errors(files, capsys):
     assert rc == 2
 
 
+PROBLEM_INPUTS = {
+    "dnf": ["--in", "inst.dnf", "--updates", "flips.txt"],
+    "conn": ["--in", "graph.txt", "--updates", "edges.txt"],
+    "kconn": ["--k", "2", "--in", "graph.txt", "--updates", "edges.txt"],
+    "spanning-forest": ["--in", "graph.txt", "--updates", "edges.txt"],
+}
+PROVER_NAMES = ["honest", "maximizing", "random"] + [
+    f"adversarial:{key}" for key in ("bottom", "cycle", "ghost", "oversize", "stubborn")
+] + ["nonsense", "adversarial:nonsense"]
+
+
+@pytest.mark.parametrize("prover", PROVER_NAMES)
+@pytest.mark.parametrize("problem", sorted(PROBLEM_INPUTS))
+def test_every_prover_name_keeps_the_exit_contract(problem, prover, files, capsys):
+    argv = ["verify", "--problem", problem, "--prover", prover, "--check"]
+    rc = main(argv + [files.get(a, a) for a in PROBLEM_INPUTS[problem]])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+    if "nonsense" in prover:
+        assert rc == 2
+    if problem == "spanning-forest":
+        assert (rc == 2) == (prover not in ("honest", "adversarial:stubborn"))
+
+
 def test_verify_spanning_forest_valid(files, capsys):
     rc, payload = run_json(
         capsys, ["verify", "--problem", "spanning-forest", "--in", files["graph.txt"],

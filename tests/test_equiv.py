@@ -28,6 +28,7 @@ from dyncx.equiv import (
     parse_ov,
     transpose,
 )
+from dyncx.fdt import parse_trees
 from dyncx.framework import BudgetExceeded, ParseError
 
 from conftest import rand_aw, rand_color_stream, rand_dnf, rand_flip_stream
@@ -256,6 +257,21 @@ def test_ov_and_hypergraph_round_trips(rng):
     hg = HypergraphInstance(4, [(0, 2), (1, 2, 3)], {1, 3})
     again = parse_hypergraph(format_hypergraph(hg))
     assert (again.num_nodes, again.hyperedges, again.s) == (4, hg.hyperedges, hg.s)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        (parse_ov, "p ov x 1\n1\n", 1),
+        (parse_ov, "p ov 2 1\n1 a\n", 2),
+        (parse_hypergraph, "p hg 2 1\n1 z\n", 2),
+        (parse_trees, "T\nE 1 1 1\nm 0 x\n", 3),
+    ],
+    ids=["ov-header", "ov-column", "hyperedge", "tree-memory"],
+)
+def test_non_integer_field_is_a_parse_error_naming_the_line(parse, text, lineno):
+    with pytest.raises(ParseError, match=f"^line {lineno}:"):
+        parse(text)
 
 
 def test_empty_hyperedge_rejected_in_files_but_meaningful_in_memory():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dyncx import oracles
 from dyncx.equiv import AllWhiteInstance, aw_bruteforce
 from dyncx.framework import BudgetExceeded, ParseError
 from dyncx.oracles import sat_bruteforce
@@ -63,7 +64,7 @@ def test_subgraph_connectivity_branches():
 
 def test_diameter_three_versus_four():
     target, _, decode = build_diameter(all_black_complete())
-    assert target.diameter() == 3
+    assert oracles.diameter(target.num_nodes, target.edges) == 3
     assert decode(target) == 0
 
     aw = AllWhiteInstance(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)], [True, False])
@@ -75,7 +76,7 @@ def test_diameter_three_versus_four():
 
     aw = AllWhiteInstance(2, 1, [(0, 0), (1, 0)], [True, True])
     target, _, decode = build_diameter(aw)
-    assert target.diameter() >= 4
+    assert oracles.diameter(target.num_nodes, target.edges) >= 4
     assert decode(target) == 1 == aw_bruteforce(aw)
 
 
