@@ -25,6 +25,7 @@ tour walks), so prover work never lands on a verifier's probe count.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .framework import (
@@ -38,6 +39,8 @@ from .framework import (
     decode_edge_set,
     encode_edge,
     encode_edge_set,
+    env_budget,
+    read_lines,
 )
 from .forest import DynamicForest, NotTreeEdge, WouldCycle
 from . import oracles
@@ -529,10 +532,18 @@ class KconnVerifier:
 
     def proof_space(self, token) -> list[bytes]:
         """Null proof, then edge subsets of size < k, smaller sets first,
-        lexicographic within a size."""
+        lexicographic within a size.
+
+        BudgetExceeded, before anything is built, when the space holds more
+        than env_budget() proofs."""
         edges = sorted(self.graph.edges)
+        sizes = range(1, min(self.k, len(edges) + 1))
+        total = 1 + sum(math.comb(len(edges), size) for size in sizes)
+        budget = env_budget()
+        if total > budget:
+            raise BudgetExceeded(f"kconn proof space of {total} exceeds budget {budget}")
         space = [BOTTOM]
-        for size in range(1, self.k):
+        for size in sizes:
             for combo in itertools.combinations(edges, size):
                 space.append(encode_edge_set(combo))
         return space
@@ -628,30 +639,20 @@ def oversized_proof_prover(verifier: KconnVerifier, token) -> bytes:
 
 
 def parse_graph(text: str) -> tuple[DynamicGraph, int | None]:
-    header = None
     edges = []
     k = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
-                if len(parts) != 3 or parts[1] != "graph":
-                    raise ParseError(f"line {lineno}: want 'p graph <N>'")
-                header = int(parts[2])
-            elif parts[0] == "e":
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            elif parts[0] == "k":
-                k = int(parts[1])
-            else:
-                raise ParseError(f"line {lineno}: unknown line {raw!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"line {lineno}: bad line {raw!r}") from exc
-    if header is None:
-        raise ParseError("missing 'p graph' header")
-    graph = DynamicGraph(header)
+
+    def line(parts):
+        nonlocal k
+        if parts[0] == "e":
+            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        elif parts[0] == "k":
+            k = int(parts[1])
+        else:
+            raise ParseError("unknown line")
+
+    (n,) = read_lines(text, line, ("graph", 1))
+    graph = DynamicGraph(n)
     for u, v in edges:
         graph.insert(u, v)
     return graph, k

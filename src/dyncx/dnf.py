@@ -30,6 +30,7 @@ from .framework import (
     VerifierOutput,
     decode_index,
     encode_index,
+    read_lines,
 )
 
 
@@ -225,9 +226,6 @@ class ClauseCounters:
                     self.satisfied -= 1
                 unsat[j] += 1
         return self.answer()
-
-    def toggle(self, var: int) -> int:
-        return self.flip(var, 1 - self.assignment[var])
 
     def apply(self, token) -> int:
         if token[0] == "f":
@@ -459,45 +457,32 @@ def first_dnf_query(aug: AugmentedFirstDnf, counters: ClauseCounters) -> int | N
 #   one line per clause: signed 1-based literals terminated by 0
 #   a <bit> ... <bit>        current assignment (n bits)
 #   o <id> ... <id>          optional clause order, 1-based, first = preferred
+# `c` lines are comments, as in DIMACS.
 
 
 def parse_dnf(text: str):
     """Returns DnfInstance, or FirstDnfInstance when an order line is present."""
-    header = None
     clauses: list[Clause] = []
     assignment = None
     order = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c "):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
-                if header is not None:
-                    raise ParseError(f"line {lineno}: duplicate header")
-                if len(parts) != 5 or parts[1] != "dnf":
-                    raise ParseError(f"line {lineno}: want 'p dnf <n> <m> <w>'")
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            elif parts[0] == "a":
-                bits = [int(tok) for tok in parts[1:]]
-                if any(b not in (0, 1) for b in bits):
-                    raise ParseError(f"line {lineno}: assignment bits must be 0/1")
-                assignment = bits
-            elif parts[0] == "o":
-                order = [int(tok) - 1 for tok in parts[1:]]
-            else:
-                lits = [int(tok) for tok in parts]
-                if lits[-1] != 0:
-                    raise ParseError(f"line {lineno}: clause must end with 0")
-                if any(l == 0 for l in lits[:-1]):
-                    raise ParseError(f"line {lineno}: stray 0 inside clause")
-                clauses.append(clause(*lits[:-1]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
-    if header is None:
-        raise ParseError("missing 'p dnf' header")
-    n, m, w = header
+
+    def line(parts):
+        nonlocal assignment, order
+        if parts[0] == "a":
+            assignment = [int(tok) for tok in parts[1:]]
+            if any(b not in (0, 1) for b in assignment):
+                raise ParseError("assignment bits must be 0/1")
+        elif parts[0] == "o":
+            order = [int(tok) - 1 for tok in parts[1:]]
+        else:
+            lits = [int(tok) for tok in parts]
+            if lits[-1] != 0:
+                raise ParseError("clause must end with 0")
+            if 0 in lits[:-1]:
+                raise ParseError("stray 0 inside clause")
+            clauses.append(clause(*lits[:-1]))
+
+    n, m, w = read_lines(text, line, ("dnf", 3), comment="c")
     if len(clauses) != m:
         raise ParseError(f"header says {m} clauses, file has {len(clauses)}")
     if assignment is None:

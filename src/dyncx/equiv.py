@@ -19,7 +19,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .framework import BudgetExceeded, ParseError, UndecodableUpdate, env_budget
+from .framework import (
+    BudgetExceeded,
+    ParseError,
+    UndecodableUpdate,
+    env_budget,
+    read_lines,
+)
 from .dnf import Clause, DnfInstance
 
 WHITE = True
@@ -191,7 +197,7 @@ class HypergraphInstance:
     """Hypergraph plus a node subset S; question: is S independent?
 
     S is independent when no hyperedge is fully inside S. An empty hyperedge
-    is vacuously inside every S; parse_hypergraph rejects those.
+    is vacuously inside every S; the file format cannot write one.
     """
 
     num_nodes: int
@@ -425,38 +431,26 @@ def graph_set_independent(edges, node_set) -> bool:
 # ---------------------------------------------------------------------------
 #
 #   p aw <|L|> <|R|>         then `e <l> <r>` and `c <l> <W|B>` lines
-#   p ov <n> <m>             then one line of indices per column, `u <bits>`
+#   p ov <n> <m>             then one `v <indices>` line per column, `u <bits>`
 #   p hg <n> <m>             then one node-list line per hyperedge, `s <ids>`
 # All ids 1-based.
 
 
 def parse_aw(text: str) -> AllWhiteInstance:
-    header = None
     edges = []
     color_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "aw":
-                    raise ParseError(f"line {lineno}: want 'p aw <|L|> <|R|>'")
-                header = (int(parts[2]), int(parts[3]))
-            elif parts[0] == "e":
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            elif parts[0] == "c":
-                if parts[2] not in ("W", "B"):
-                    raise ParseError(f"line {lineno}: color must be W or B")
-                color_lines.append((int(parts[1]) - 1, parts[2] == "W"))
-            else:
-                raise ParseError(f"line {lineno}: unknown line {raw!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"line {lineno}: bad line {raw!r}") from exc
-    if header is None:
-        raise ParseError("missing 'p aw' header")
-    num_l, num_r = header
+
+    def line(parts):
+        if parts[0] == "e":
+            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        elif parts[0] == "c":
+            if parts[2] not in ("W", "B"):
+                raise ParseError("color must be W or B")
+            color_lines.append((int(parts[1]) - 1, parts[2] == "W"))
+        else:
+            raise ParseError("unknown line")
+
+    num_l, num_r = read_lines(text, line, ("aw", 2))
     colors = [WHITE] * num_l
     for node, white in color_lines:
         if not 0 <= node < num_l:
@@ -475,30 +469,22 @@ def format_aw(inst: AllWhiteInstance) -> str:
 
 
 def parse_ov(text: str) -> SparseOvInstance:
-    header = None
     columns = []
     u = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line and (header is None or u is not None):
-            continue
-        parts = line.split()
-        try:
-            if parts and parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "ov":
-                    raise ParseError(f"line {lineno}: want 'p ov <n> <m>'")
-                header = (int(parts[2]), int(parts[3]))
-            elif parts and parts[0] == "u":
-                u = [int(b) for b in parts[1:]]
-            else:
-                # a blank line between header and u is an empty column; v_j
-                # with no support is orthogonal to everything
-                columns.append(sorted(int(tok) - 1 for tok in parts))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
-    if header is None:
-        raise ParseError("missing 'p ov' header")
-    n, m = header
+
+    def line(parts):
+        nonlocal u
+        if parts[0] == "v":
+            # a bare `v` is an empty column, orthogonal to every u
+            columns.append(sorted(int(tok) - 1 for tok in parts[1:]))
+        elif parts[0] == "u":
+            u = [int(b) for b in parts[1:]]
+            if any(b not in (0, 1) for b in u):
+                raise ParseError("u bits must be 0/1")
+        else:
+            raise ParseError("unknown line")
+
+    n, m = read_lines(text, line, ("ov", 2))
     if len(columns) != m:
         raise ParseError(f"header says {m} columns, file has {len(columns)}")
     if u is None:
@@ -508,41 +494,23 @@ def parse_ov(text: str) -> SparseOvInstance:
 
 def format_ov(inst: SparseOvInstance) -> str:
     out = [f"p ov {inst.n} {inst.m}"]
-    out += [" ".join(str(i + 1) for i in col) for col in inst.columns]
+    out += [" ".join(["v"] + [str(i + 1) for i in col]) for col in inst.columns]
     out.append("u " + " ".join(str(b) for b in inst.u))
     return "\n".join(out) + "\n"
 
 
 def parse_hypergraph(text: str) -> HypergraphInstance:
-    header = None
     hyperedges = []
     s: set[int] = set()
-    seen_s = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line and (header is None or seen_s):
-            continue
-        parts = line.split()
-        try:
-            if parts and parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "hg":
-                    raise ParseError(f"line {lineno}: want 'p hg <n> <m>'")
-                header = (int(parts[2]), int(parts[3]))
-            elif parts and parts[0] == "s":
-                s = {int(tok) - 1 for tok in parts[1:]}
-                seen_s = True
-            else:
-                nodes = tuple(sorted(int(tok) - 1 for tok in parts))
-                if not nodes:
-                    # files must not carry them: such an edge is inside every
-                    # S, so the instance answers "dependent" no matter what
-                    raise ParseError(f"line {lineno}: empty hyperedge")
-                hyperedges.append(nodes)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number in {raw!r}") from exc
-    if header is None:
-        raise ParseError("missing 'p hg' header")
-    n, m = header
+
+    def line(parts):
+        nonlocal s
+        if parts[0] == "s":
+            s = {int(tok) - 1 for tok in parts[1:]}
+        else:
+            hyperedges.append(tuple(sorted(int(tok) - 1 for tok in parts)))
+
+    n, m = read_lines(text, line, ("hg", 2))
     if len(hyperedges) != m:
         raise ParseError(f"header says {m} hyperedges, file has {len(hyperedges)}")
     return HypergraphInstance(n, hyperedges, s).validate()

@@ -26,6 +26,7 @@ from .framework import (
     ParseError,
     ProbeMeter,
     env_budget,
+    read_lines,
 )
 from .dnf import Clause, ClauseCounters, DnfInstance, FirstDnfInstance
 
@@ -453,40 +454,33 @@ def parse_trees(text: str) -> FdtInstance:
             trees.append(DecisionTree(block))
             block = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    def line(parts):
+        nonlocal block, memory
         if parts[0] == "T":
             close()
             block = []
         elif parts[0] == "m":
             close()
-            try:
-                memory = [int(b) for b in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad memory line {raw!r}") from exc
+            memory = [int(b) for b in parts[1:]]
             if any(b not in (0, 1) for b in memory):
-                raise ParseError(f"line {lineno}: memory bits must be 0/1")
+                raise ParseError("memory bits must be 0/1")
         elif parts[0] in ("R", "W", "E"):
             if block is None:
-                raise ParseError(f"line {lineno}: node line outside a T block")
-            try:
-                if parts[0] == "R":
-                    block.append(
-                        Read(int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1)
-                    )
-                elif parts[0] == "W":
-                    block.append(
-                        Write(int(parts[1]) - 1, int(parts[2]), int(parts[3]) - 1)
-                    )
-                else:
-                    block.append(End(int(parts[1]), int(parts[2]), int(parts[3])))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"line {lineno}: bad node line {raw!r}") from exc
+                raise ParseError("node line outside a T block")
+            if parts[0] == "R":
+                block.append(
+                    Read(int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1)
+                )
+            elif parts[0] == "W":
+                block.append(
+                    Write(int(parts[1]) - 1, int(parts[2]), int(parts[3]) - 1)
+                )
+            else:
+                block.append(End(int(parts[1]), int(parts[2]), int(parts[3])))
         else:
-            raise ParseError(f"line {lineno}: unknown line {raw!r}")
+            raise ParseError("unknown line")
+
+    read_lines(text, line)
     close()
     if memory is None:
         raise ParseError("missing memory line")

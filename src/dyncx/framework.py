@@ -12,13 +12,17 @@ modes live here:
   sequence; completeness only against a reward-maximizing prover.
 
 Proof payloads are plain byte strings. The empty payload is the null proof
-(written BOTTOM below). On the wire, payloads travel length-prefixed.
+(written BOTTOM below).
+
+`read_lines` is the one reader of every line-based text format: update
+streams here and each instance format in its own module.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -53,8 +57,8 @@ class OracleDesync(DyncxError):
 
 BOTTOM = b""
 
-# Proofs longer than this cannot be length-prefixed with 2 bytes; verifiers
-# may declare a smaller max_proof_len.
+# The longest proof the protocol will send; verifiers may declare a smaller
+# max_proof_len.
 MAX_PROOF_LEN = 0xFFFF
 
 
@@ -90,20 +94,58 @@ def decode_edge_set(payload: bytes) -> list[tuple[int, int]]:
     return [decode_edge(payload[k : k + 8]) for k in range(0, len(payload), 8)]
 
 
-def length_prefixed(payload: bytes) -> bytes:
-    if len(payload) > MAX_PROOF_LEN:
-        raise ProofOutOfSpace(f"proof of {len(payload)} bytes exceeds wire limit")
-    return len(payload).to_bytes(2, "big") + payload
+# ---------------------------------------------------------------------------
+# Line-based text formats
+# ---------------------------------------------------------------------------
 
 
-def strip_length_prefix(buf: bytes) -> tuple[bytes, bytes]:
-    """Return (payload, rest-of-buffer)."""
-    if len(buf) < 2:
-        raise ParseError("truncated length prefix")
-    n = int.from_bytes(buf[:2], "big")
-    if len(buf) < 2 + n:
-        raise ParseError("truncated proof payload")
-    return buf[2 : 2 + n], buf[2 + n :]
+def read_lines(text: str, handle, header: tuple[str, int] | None = None,
+               comment: str | None = None) -> tuple[int, ...]:
+    """Call handle(fields) for each body line of `text`; return the header counts.
+
+    `#` starts a comment. Blank lines, and lines whose first field is
+    `comment`, are skipped. With header=(kind, arity) the first remaining
+    line must be `p <kind>` and `arity` integer counts in 0..env_budget(),
+    and no other `p` line may follow; a negative count is a ParseError, one
+    past the budget a BudgetExceeded. A ValueError, IndexError or
+    DyncxError from `handle` comes back as a ParseError naming the line.
+    """
+    counts = None if header else ()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        # most lines carry no comment; they are split without a copy
+        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not parts or parts[0] == comment:
+            continue
+        if counts is None:
+            counts = _header_counts(parts, *header, lineno)
+            continue
+        try:
+            if parts[0] == "p" and header:
+                raise ParseError("second 'p' line")
+            handle(parts)
+        except (ValueError, IndexError, DyncxError) as exc:
+            reason = "too few fields" if isinstance(exc, IndexError) else exc
+            raise ParseError(f"line {lineno}: {raw.strip()!r}: {reason}") from exc
+    if counts is None:
+        raise ParseError(f"missing 'p {header[0]}' header")
+    return counts
+
+
+def _header_counts(parts: list[str], kind: str, arity: int, lineno: int):
+    if len(parts) != 2 + arity or parts[0] != "p" or parts[1] != kind:
+        want = " ".join(["p", kind] + ["<count>"] * arity)
+        raise ParseError(f"line {lineno}: want '{want}' first")
+    try:
+        counts = tuple(map(int, parts[2:]))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    budget = env_budget()
+    for c in counts:
+        if c < 0:
+            raise ParseError(f"line {lineno}: negative count {c}")
+        if c > budget:
+            raise BudgetExceeded(f"line {lineno}: count {c} exceeds budget {budget}")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +176,7 @@ class UpdateStream:
     @classmethod
     def parse(cls, text: str) -> "UpdateStream":
         items = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                items.append(_parse_token(parts))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"line {lineno}: bad update {raw!r}") from exc
+        read_lines(text, lambda parts: items.append(_parse_token(parts)))
         return cls(items)
 
     def format(self) -> str:
@@ -287,8 +321,6 @@ def polylog_budget(n: int, factor: int = 96, power: int = 1) -> int:
 
 
 def env_budget(default: int = 200_000) -> int:
-    import os
-
     raw = os.environ.get("DYNCX_BUDGET")
     if raw is None:
         return default

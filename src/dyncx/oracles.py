@@ -67,13 +67,6 @@ def is_connected(n: int, edges) -> bool:
     return component_count(n, edges) == 1
 
 
-def same_component(n: int, edges, a: int, b: int) -> bool:
-    uf = UnionFind(n)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf.find(a) == uf.find(b)
-
-
 def bfs_dist(n: int, adj, src: int) -> list[float]:
     dist = [float("inf")] * n
     dist[src] = 0

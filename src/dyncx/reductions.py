@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .framework import BudgetExceeded, ParseError, UndecodableUpdate, env_budget
+from .framework import (
+    BudgetExceeded,
+    ParseError,
+    UndecodableUpdate,
+    env_budget,
+    read_lines,
+)
 from .connectivity import DynamicGraph
 from .equiv import AllWhiteCounters, AllWhiteInstance, aw_bruteforce
 from . import oracles
@@ -397,37 +403,22 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    num_vars = None
-    expected = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if line.startswith("p"):
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ParseError(f"bad header {raw!r}")
-                num_vars, expected = int(parts[2]), int(parts[3])
-                continue
-            if num_vars is None:
-                raise ParseError("clause line before header")
-            for tok in parts:
-                lit = int(tok)
-                if lit == 0:
-                    clauses.append(tuple(pending))
-                    pending = []
-                else:
-                    pending.append(lit)
-        except ValueError as exc:
-            raise ParseError(f"bad number in {raw!r}") from exc
-    if num_vars is None:
-        raise ParseError("missing p cnf header")
+
+    def line(parts):
+        for tok in parts:
+            lit = int(tok)
+            if lit == 0:
+                clauses.append(tuple(pending))
+                pending.clear()
+            else:
+                pending.append(lit)
+
+    num_vars, expected = read_lines(text, line, ("cnf", 2), comment="c")
     if pending:
         raise ParseError("unterminated clause")
-    if expected is not None and len(clauses) != expected:
+    if len(clauses) != expected:
         raise ParseError(f"header promised {expected} clauses, found {len(clauses)}")
     return CnfInstance(num_vars, clauses).validate()
 

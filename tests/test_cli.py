@@ -345,8 +345,16 @@ def test_report_matches_golden(name, files, tmp_path, monkeypatch, capsys):
         (["verify", "--problem", "conn"], "p graph 3\ne 1\n"),
         # node 9 of a 3-node instance
         (["reduce", "--target", "maxflow", "--updates", "colors.txt"], AW_TEXT),
+        (["verify", "--problem", "conn", "--check"], "p graph -1\n"),
+        (["verify", "--problem", "spanning-forest", "--check"], "p graph -1\n"),
+        (["sat"], "p cnf -1 0\n"),
+        # past DYNCX_BUDGET: refused before any node is allocated
+        (["verify", "--problem", "conn"], "p graph 100000000\n"),
+        (["verify", "--problem", "conn"], "e 1 2\np graph 3\n"),
     ],
-    ids=["dnf-header", "dimacs-literal", "short-edge-line", "recolor-out-of-range"],
+    ids=["dnf-header", "dimacs-literal", "short-edge-line", "recolor-out-of-range",
+         "negative-nodes-conn", "negative-nodes-spanning-forest", "negative-vars-sat",
+         "nodes-over-budget", "header-after-body"],
 )
 def test_malformed_input_exits_2_without_traceback(argv, text, tmp_path, monkeypatch,
                                                    capsys):
@@ -358,3 +366,17 @@ def test_malformed_input_exits_2_without_traceback(argv, text, tmp_path, monkeyp
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_kconn_proof_space_past_the_budget_exits_2_before_building_it(tmp_path, capsys):
+    # C(40, 5) = 658008 five-edge proofs for k=6, past the default budget
+    edges = [(u, v) for u in range(1, 10) for v in range(u + 1, 11)][:40]
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p graph 10\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    stream = tmp_path / "edits.txt"
+    stream.write_text("q\nq\n")
+    rc = main(["verify", "--problem", "kconn", "--k", "6", "--prover", "random",
+               "--in", str(graph), "--updates", str(stream)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "budget" in err

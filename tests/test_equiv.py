@@ -262,12 +262,18 @@ def test_ov_and_hypergraph_round_trips(rng):
 @pytest.mark.parametrize(
     "parse, text, lineno",
     [
-        (parse_ov, "p ov x 1\n1\n", 1),
-        (parse_ov, "p ov 2 1\n1 a\n", 2),
+        (parse_ov, "p ov x 1\nv 1\n", 1),
+        (parse_ov, "p ov 2 1\nv 1 a\n", 2),
         (parse_hypergraph, "p hg 2 1\n1 z\n", 2),
         (parse_trees, "T\nE 1 1 1\nm 0 x\n", 3),
+        (parse_hypergraph, "p hg -2 0\n", 1),
+        (parse_aw, "p aw 1 -2\n", 1),
+        # the comment is no column, and a column line needs its `v` tag
+        (parse_ov, "p ov 2 2\n# note\n1 2\nu 0 0\n", 3),
+        (parse_ov, "p ov 1 1\nv 1\nu 5\n", 3),
     ],
-    ids=["ov-header", "ov-column", "hyperedge", "tree-memory"],
+    ids=["ov-header", "ov-column", "hyperedge", "tree-memory", "hg-negative-count",
+         "aw-negative-count", "ov-comment-then-untagged-column", "ov-u-not-a-bit"],
 )
 def test_non_integer_field_is_a_parse_error_naming_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=f"^line {lineno}:"):

@@ -2,7 +2,7 @@ import pytest
 
 from dyncx.forest import DynamicForest, NotTreeEdge, WouldCycle
 from dyncx.framework import BudgetExceeded, polylog_budget
-from dyncx.oracles import component_count, components, same_component
+from dyncx.oracles import component_count, components
 
 
 def test_path_link_and_cut():
@@ -141,8 +141,9 @@ def test_tiny_budget_trips():
 def test_union_find_oracles_agree():
     edges = [(0, 1), (1, 2), (4, 5)]
     assert component_count(6, edges) == 3
-    assert same_component(6, edges, 0, 2)
-    assert not same_component(6, edges, 0, 4)
+    labels = components(6, edges)
+    assert labels[0] == labels[2]
+    assert labels[0] != labels[4]
 
 
 def linked_one_by_one(n, edges, seed):

@@ -1,0 +1,191 @@
+"""Every text format through the one line reader: round trips and fuzzing."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dyncx.connectivity import DynamicGraph, format_graph, parse_graph
+from dyncx.dnf import Clause, DnfInstance, FirstDnfInstance, format_dnf, parse_dnf
+from dyncx.equiv import (
+    AllWhiteInstance,
+    HypergraphInstance,
+    SparseOvInstance,
+    format_aw,
+    format_hypergraph,
+    format_ov,
+    parse_aw,
+    parse_hypergraph,
+    parse_ov,
+)
+from dyncx.fdt import DecisionTree, End, FdtInstance, Read, Write, format_trees, parse_trees
+from dyncx.framework import DyncxError, UpdateStream
+from dyncx.reductions import CnfInstance, format_dimacs, parse_dimacs
+
+bits = st.integers(0, 1)
+
+
+def subsets(n, min_size=0):
+    return st.lists(st.integers(0, n - 1), min_size=min_size, unique=True).map(sorted)
+
+
+@st.composite
+def dnfs(draw):
+    n = draw(st.integers(1, 5))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = draw(st.lists(
+        st.lists(literal, max_size=3, unique_by=lambda lit: lit[0]).map(
+            lambda lits: Clause(tuple(lits))),
+        max_size=4,
+    ))
+    width = max((c.width for c in clauses), default=0) + draw(st.integers(0, 2))
+    inst = DnfInstance(n, clauses, draw(st.lists(bits, min_size=n, max_size=n)), width)
+    if draw(st.booleans()):
+        return FirstDnfInstance(inst, draw(st.permutations(range(len(clauses)))))
+    return inst
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return DynamicGraph(n, edges), draw(st.none() | st.integers(1, 4))
+
+
+@st.composite
+def all_whites(draw):
+    num_l, num_r = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pairs = [(l, r) for l in range(num_l) for r in range(num_r)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    colors = draw(st.lists(st.booleans(), min_size=num_l, max_size=num_l))
+    return AllWhiteInstance(num_l, num_r, edges, colors)
+
+
+@st.composite
+def ovs(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    columns = draw(st.lists(subsets(n), min_size=m, max_size=m))  # empty ones too
+    return SparseOvInstance(n, m, columns, draw(st.lists(bits, min_size=n, max_size=n)))
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 5))
+    hyperedges = draw(st.lists(subsets(n, min_size=1).map(tuple), max_size=4))
+    return HypergraphInstance(n, hyperedges, set(draw(subsets(n))))
+
+
+@st.composite
+def tree_sets(draw):
+    size = draw(st.integers(1, 3))
+
+    def grow(nodes, readable):
+        at = len(nodes)
+        nodes.append(None)
+        kinds = "ERW" if readable and len(nodes) < 10 else "E"
+        kind = draw(st.sampled_from(kinds))
+        if kind == "E":
+            nodes[at] = End(draw(bits), draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        elif kind == "R":
+            index = draw(st.sampled_from(sorted(readable)))
+            left = grow(nodes, readable - {index})
+            nodes[at] = Read(index, left, grow(nodes, readable - {index}))
+        else:
+            index = draw(st.integers(0, size - 1))
+            nodes[at] = Write(index, draw(bits), grow(nodes, readable - {index}))
+        return at
+
+    trees = []
+    for _ in range(draw(st.integers(0, 3))):
+        nodes = []
+        grow(nodes, set(range(size)))
+        trees.append(DecisionTree(nodes))
+    return FdtInstance(draw(st.lists(bits, min_size=size, max_size=size)), trees)
+
+
+@st.composite
+def cnfs(draw):
+    n = draw(st.integers(1, 5))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    return CnfInstance(n, draw(st.lists(st.lists(literal, min_size=1, max_size=3)
+                                        .map(tuple), max_size=4)))
+
+
+tokens = st.one_of(
+    st.tuples(st.just("f"), st.integers(0, 9), bits),
+    st.tuples(st.just("e"), st.sampled_from("+-"), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.just("c"), st.integers(0, 9), st.sampled_from("WB")),
+    st.just(("q",)),
+)
+
+# name: (instances, format, parse, comment tag)
+FORMATS = {
+    "updates": (st.lists(tokens).map(UpdateStream), UpdateStream.format,
+                UpdateStream.parse, None),
+    "dnf": (dnfs(), format_dnf, parse_dnf, "c"),
+    "graph": (graphs(), lambda gk: format_graph(*gk), parse_graph, None),
+    "aw": (all_whites(), format_aw, parse_aw, None),
+    "ov": (ovs(), format_ov, parse_ov, None),
+    "hg": (hypergraphs(), format_hypergraph, parse_hypergraph, None),
+    "trees": (tree_sets(), format_trees, parse_trees, None),
+    "cnf": (cnfs(), format_dimacs, parse_dimacs, "c"),
+}
+
+# no character that str.splitlines() reads as a line break
+comment_text = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")),
+                       max_size=8)
+
+
+def noise(tag):
+    lines = [st.sampled_from(["", "  \t", "#"]), comment_text.map(lambda t: "# " + t)]
+    if tag is not None:
+        lines.append(comment_text.map(lambda t: f"{tag} {t}"))
+    return st.lists(st.one_of(lines), max_size=2)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_format_and_ignores_comments_and_blank_lines(name, data):
+    instances, fmt, parse, tag = FORMATS[name]
+    inst = data.draw(instances)
+    text = fmt(inst)
+    assert parse(text) == inst
+    noisy = []
+    for line in text.splitlines():
+        noisy += data.draw(noise(tag))
+        noisy.append(line + data.draw(st.sampled_from(["", " ", "  # note"])))
+    noisy += data.draw(noise(tag))
+    assert parse("\n".join(noisy)) == inst
+
+
+FIELDS = (
+    "p graph dnf cnf aw ov hg e k a o c v u s T R W E m f q + - W B # x 0 1 2 3 -1 "
+    "1000000000000 0.5"
+).split()
+soup = st.lists(
+    st.lists(st.sampled_from(FIELDS) | st.integers(-2, 6).map(str), max_size=6)
+    .map(" ".join),
+    max_size=8,
+).map("\n".join)
+# a header of the right shape first, so the body reaches the line handler
+HEADERS = {"dnf": 3, "graph": 1, "aw": 2, "ov": 2, "hg": 2, "cnf": 2}
+
+
+def headed(name):
+    if name not in HEADERS:
+        return soup
+    counts = st.lists(st.integers(-1, 4) | st.just(10**12),
+                      min_size=HEADERS[name], max_size=HEADERS[name])
+    return st.builds(lambda cs, body: " ".join(["p", name, *map(str, cs)]) + "\n" + body,
+                     counts, soup)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=45, deadline=None)
+@given(data=st.data())
+def test_only_package_errors_escape_a_parser(name, data):
+    text = data.draw(st.text(max_size=40) | soup | headed(name))
+    try:
+        FORMATS[name][2](text)
+    except DyncxError:
+        pass

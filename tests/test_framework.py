@@ -25,13 +25,11 @@ from dyncx.framework import (
     encode_index,
     format_token,
     fuzz_soundness,
-    length_prefixed,
     polylog_budget,
     random_prover,
     replay,
     reward_maximizing_prover,
     run_protocol,
-    strip_length_prefix,
 )
 
 
@@ -54,12 +52,6 @@ def test_index_encoding_order_matches_numeric_order():
 def test_edge_set_round_trip(pairs):
     normalized = [(min(u, v), max(u, v)) for u, v in pairs]
     assert decode_edge_set(encode_edge_set(pairs)) == normalized
-
-
-@given(st.binary(max_size=64))
-def test_length_prefix_round_trip(payload):
-    body, rest = strip_length_prefix(length_prefixed(payload) + b"tail")
-    assert body == payload and rest == b"tail"
 
 
 def test_stream_parse_format_round_trip():
