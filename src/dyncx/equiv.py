@@ -100,44 +100,81 @@ def transpose(num_scanned: int, num_colored: int, edges, colors) -> AllWhiteInst
 
 
 class AllWhiteCounters:
-    """Per-R-node count of black neighbors; answer = some count is zero."""
+    """Per-R-node count of black neighbors, bit-sliced; answer = some count is zero.
+
+    `masks[l]` has bit r set when (l, r) is an edge. The counts are kept as
+    slices: bit r of `slices[j]` is bit j of R node r's black-neighbor
+    count. Blackening l adds masks[l] into the slices with a ripple carry,
+    whitening subtracts it with a ripple borrow, and the answer is whether
+    some bit of `full` lies in no slice. Each recolor or answer therefore
+    costs O(log |L|) big-int operations on |R|-bit words. `ops` counts
+    calls: +1 per `answer` and +1 per `set_color`, a call that changes
+    nothing included.
+    """
 
     def __init__(self, inst: AllWhiteInstance):
         inst.validate()
-        self.colors = list(inst.colors)
-        self.l_neighbors: list[list[int]] = [[] for _ in range(inst.num_l)]
-        self.black_count = [0] * inst.num_r
+        masks = [0] * inst.num_l
         for l, r in inst.edges:
-            self.l_neighbors[l].append(r)
-            if not self.colors[l]:
-                self.black_count[r] += 1
-        self.zero_nodes = sum(1 for c in self.black_count if c == 0)
+            masks[l] |= 1 << r
+        self._fill(inst.num_r, masks, inst.colors)
+
+    @classmethod
+    def from_masks(cls, num_r: int, masks, colors) -> "AllWhiteCounters":
+        """Counters over neighbor masks (one per L node); nothing is validated."""
+        self = cls.__new__(cls)
+        self._fill(num_r, masks, colors)
+        return self
+
+    def _fill(self, num_r, masks, colors):
+        self.full = (1 << num_r) - 1
+        self.masks = list(masks)
+        self.colors = [WHITE] * len(self.masks)
+        # a count never exceeds |L|, so this many slices never overflow
+        self.slices = [0] * len(self.masks).bit_length()
         self.ops = 0
+        for node, white in enumerate(colors):
+            if not white:
+                self.set_color(node, BLACK)
+        self.ops = 0  # the set-up recolors are not charged
+
+    def _any_zero(self) -> int:
+        black = 0  # R nodes with a nonzero count
+        for s in self.slices:
+            black |= s
+        return 1 if self.full & ~black else 0
 
     def answer(self) -> int:
         self.ops += 1
-        return 1 if self.zero_nodes > 0 else 0
+        return self._any_zero()
 
     def set_color(self, node: int, white: bool):
         self.ops += 1
         if self.colors[node] == white:
             return
         self.colors[node] = white
-        delta = -1 if white else 1
-        for r in self.l_neighbors[node]:
-            was = self.black_count[r]
-            self.black_count[r] = was + delta
-            if was == 0:
-                self.zero_nodes -= 1
-            elif was + delta == 0:
-                self.zero_nodes += 1
+        x = self.masks[node]
+        slices = self.slices
+        j = 0
+        if white:  # ripple-borrow subtract
+            while x:
+                s = slices[j]
+                slices[j] = s ^ x
+                x &= ~s
+                j += 1
+        else:  # ripple-carry add
+            while x:
+                s = slices[j]
+                slices[j] = s ^ x
+                x &= s
+                j += 1
 
     def apply(self, token) -> int:
         if token[0] == "c":
             self.set_color(token[1], token[2] == "W")
-            return 1 if self.zero_nodes > 0 else 0
+            return self._any_zero()
         if token[0] == "q":
-            return 1 if self.zero_nodes > 0 else 0
+            return self._any_zero()
         raise UndecodableUpdate(f"all-white counters cannot apply {token!r}")
 
 

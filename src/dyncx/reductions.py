@@ -22,6 +22,7 @@ phase recolors only the clauses whose status changed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .framework import (
@@ -402,7 +403,16 @@ class CnfInstance:
         return self
 
 
+# a line whose first field is `%`, as in the trailer SATLIB files end with
+_DIMACS_END = re.compile(r"^[^\S\n]*%(?![^\s#])", re.M)
+
+
 def parse_dimacs(text: str) -> CnfInstance:
+    """DIMACS CNF; a line whose first field is `%` ends the clause list."""
+    if "%" in text:
+        end = _DIMACS_END.search(text)
+        if end:
+            text = text[: end.start()]  # only the tail goes: line numbers hold
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
 
@@ -430,20 +440,11 @@ def format_dimacs(inst: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _half_satisfies(clause, lo: int, hi: int, bits: int) -> bool:
-    # variables lo..hi-1 (0-based), assignment given by the bit pattern
-    for lit in clause:
-        v = abs(lit) - 1
-        if lo <= v < hi and bool((bits >> (v - lo)) & 1) == (lit > 0):
-            return True
-    return False
-
-
 def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None,
                      stats: dict | None = None) -> int:
     """Decide satisfiability through a dynamic all-white solver.
 
-    Scanned side: all assignments of the first half of the variables,
+    Scanned side: all assignments u1 of the first half of the variables,
     one node each, with an edge to every clause that assignment fails to
     satisfy. Colored side: the clauses. A phase fixes an assignment of
     the second half, colors each clause white iff that half already
@@ -452,6 +453,16 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     satisfying full assignment. Phases walk the second half in Gray-code
     order so only status-changing clauses get recolored; total solver
     operations stay within 2^(n/2) * (#clauses + 1).
+
+    The edges are built as one 2^(n/2)-bit failure mask per clause: bit u1
+    is set when u1 fails the clause. A first-half variable's mask (the u1
+    whose bit v is 1) takes one shift and one XOR, and a clause's mask is
+    the AND of its first-half literals' masks or their complements, so
+    the scanned side costs O(n + #literals) big-int operations. The
+    default solver takes these masks as they are
+    (`AllWhiteCounters.from_masks`) and no edge list is built. A caller's
+    `aw_solver` still gets the paper's `AllWhiteInstance`, its edge list
+    read off the masks.
     """
     cnf.validate()
     budget = env_budget() if budget is None else budget
@@ -462,11 +473,23 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     m = len(cnf.clauses)
 
     num_r = 2 ** half
-    edges = []
-    for u1 in range(num_r):
-        for c, clause in enumerate(cnf.clauses):
-            if not _half_satisfies(clause, 0, half, u1):
-                edges.append((c, u1))
+    full = (1 << num_r) - 1
+    # ones[v]: the u1 whose bit v is 1. Adding 2^v to u1 flips its bit v+1
+    # exactly when its bit v is 1, so each mask is the one above XOR that
+    # mask shifted down by 2^v; `full` plays the mask above the top one.
+    ones = [0] * half
+    mask = full
+    for v in reversed(range(half)):
+        mask ^= mask >> (1 << v)
+        ones[v] = mask
+    fails = []  # fails[c]: the u1 that satisfy no first-half literal of clause c
+    for clause in cnf.clauses:
+        mask = full
+        for lit in clause:
+            v = abs(lit) - 1
+            if v < half:
+                mask &= ones[v] if lit < 0 else full ^ ones[v]
+        fails.append(mask)
 
     # phase 0: second half all zeros
     sat2 = [0] * m  # count of satisfied second-half literals per clause
@@ -479,12 +502,16 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
                 if lit < 0:
                     sat2[c] += 1
     colors = [count > 0 for count in sat2]  # white = satisfied by the half
-    # valid by construction; AllWhiteCounters validates it on entry
-    aw = AllWhiteInstance(m, num_r, edges, colors)
-    solver = (aw_solver or AllWhiteCounters)(aw)
+    if aw_solver is None:
+        solver = AllWhiteCounters.from_masks(num_r, fails, colors)
+    else:
+        edges = [(c, u1) for u1 in range(num_r)
+                 for c, mask in enumerate(fails) if mask >> u1 & 1]
+        solver = aw_solver(AllWhiteInstance(m, num_r, edges, colors))
 
+    set_color, answer = solver.set_color, solver.answer
     phases = 1
-    found = solver.answer() == 1
+    found = answer() == 1
     u2 = 0
     for i in range(1, 2 ** (n - half)):
         if found:
@@ -493,12 +520,16 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
         u2 ^= 1 << flip
         bit_on = bool((u2 >> flip) & 1)
         for c, positive in occ2[flip]:
-            before = sat2[c]
-            sat2[c] += 1 if positive == bit_on else -1
-            if (before > 0) != (sat2[c] > 0):
-                solver.set_color(c, sat2[c] > 0)
+            if positive == bit_on:
+                sat2[c] += 1
+                if sat2[c] == 1:  # newly satisfied by the half
+                    set_color(c, True)
+            else:
+                sat2[c] -= 1
+                if sat2[c] == 0:  # no longer satisfied by the half
+                    set_color(c, False)
         phases += 1
-        found = solver.answer() == 1
+        found = answer() == 1
 
     if stats is not None:
         stats.update(

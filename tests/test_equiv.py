@@ -68,6 +68,55 @@ def test_aw_counters_track_bruteforce(rng):
             assert got == aw_bruteforce(inst)
 
 
+def edge_masks(inst: AllWhiteInstance) -> list[int]:
+    masks = [0] * inst.num_l
+    for l, r in inst.edges:
+        masks[l] |= 1 << r
+    return masks
+
+
+def test_aw_counters_direct_calls_track_bruteforce_and_charge_every_call(rng):
+    # up to 20 L nodes (five count slices) and 70 R nodes (wider than a word)
+    for _ in range(80):
+        inst = rand_aw(rng, l_hi=20, r_hi=70)
+        c = AllWhiteCounters(inst)
+        twin = AllWhiteCounters.from_masks(inst.num_r, edge_masks(inst), inst.colors)
+        calls = 0
+        for _ in range(60):
+            if inst.num_l and rng.random() < 0.7:
+                # colors are drawn at random, so about half of these change nothing
+                node, white = rng.randrange(inst.num_l), rng.random() < 0.5
+                c.set_color(node, white)
+                twin.set_color(node, white)
+                inst.colors[node] = white
+            else:
+                assert c.answer() == twin.answer() == aw_bruteforce(inst)
+            calls += 1
+            assert c.ops == twin.ops == calls
+            assert c.slices == twin.slices
+            assert c.apply(("q",)) == aw_bruteforce(inst)
+        assert c.ops == calls  # `apply(("q",))` is not charged
+
+
+def test_aw_counters_corner_instances():
+    assert AllWhiteCounters(AllWhiteInstance(2, 0, [], [False, True])).answer() == 0
+    assert AllWhiteCounters(AllWhiteInstance(0, 0, [], [])).answer() == 0
+    # scanned node 1 has no neighbors: all-white whatever the colors
+    isolated = AllWhiteInstance(2, 2, [(0, 0), (1, 0)], [False, False])
+    assert AllWhiteCounters(isolated).answer() == 1
+    assert AllWhiteCounters(AllWhiteInstance(0, 1, [], [])).answer() == 1
+
+
+def test_aw_counters_slices_clear_when_everything_turns_white(rng):
+    for _ in range(40):
+        inst = rand_aw(rng, l_hi=20, r_hi=70)
+        c = AllWhiteCounters(inst)
+        for node in rng.sample(range(inst.num_l), inst.num_l):
+            c.set_color(node, True)
+        assert all(s == 0 for s in c.slices)
+        assert c.answer() == (1 if inst.num_r else 0)
+
+
 def test_aw_validate_rejects_bad_edges():
     with pytest.raises(ParseError):
         AllWhiteInstance(1, 1, [(1, 0)], [True]).validate()

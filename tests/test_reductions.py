@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyncx import oracles
-from dyncx.equiv import AllWhiteInstance, aw_bruteforce
+from dyncx.equiv import AllWhiteCounters, AllWhiteInstance, aw_bruteforce
 from dyncx.framework import BudgetExceeded, ParseError
 from dyncx.oracles import sat_bruteforce
 from dyncx.reductions import (
@@ -220,6 +221,72 @@ def test_sat_accepts_substitute_solvers():
         assert sat_via_allwhite(inst, aw_solver=Rescan) == sat_via_allwhite(inst)
 
 
+@st.composite
+def split_cnfs(draw, n_max=16):
+    """CNFs whose clauses lie in the driver's first half, its second, or both."""
+    n = draw(st.integers(1, n_max))
+    half = (n + n % 2) // 2
+    sides = [st.integers(1, half), st.integers(1, n)]
+    if half < n:
+        sides.append(st.integers(half + 1, n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 4 * n))):
+        vs = draw(st.lists(draw(st.sampled_from(sides)), min_size=1, max_size=4))
+        clauses.append(tuple(v if draw(st.booleans()) else -v for v in vs))
+    return CnfInstance(n, clauses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cnfs())
+@example(CnfInstance(1, []))
+@example(CnfInstance(16, []))
+@example(CnfInstance(15, [(15,), (-15,)]))
+@example(CnfInstance(16, [(1, 2, -8), (-1,), (2,), (-2, 8)]))
+@example(CnfInstance(16, [(9, -16), (-9,), (16,)]))
+def test_sat_driver_masks_and_edge_list_agree_with_bruteforce(cnf):
+    truth = int(sat_bruteforce(cnf.num_vars, cnf.clauses))
+    masks, edges = {}, {}
+    assert sat_via_allwhite(cnf, stats=masks) == truth
+    assert sat_via_allwhite(cnf, aw_solver=AllWhiteCounters, stats=edges) == truth
+    assert masks == edges
+
+
+def paper_edge_instance(cnf: CnfInstance) -> AllWhiteInstance:
+    """The driver's all-white instance from its definition, pair by pair."""
+    half = (cnf.num_vars + cnf.num_vars % 2) // 2
+
+    def fails(clause, u1):  # u1 satisfies none of the clause's first-half literals
+        return not any(
+            abs(lit) <= half and (u1 >> (abs(lit) - 1) & 1) == (lit > 0)
+            for lit in clause
+        )
+
+    edges = [
+        (c, u1)
+        for u1 in range(2 ** half)
+        for c, clause in enumerate(cnf.clauses)
+        if fails(clause, u1)
+    ]
+    # phase 0 sets the second half to zeros: a negative literal there holds
+    colors = [any(lit < -half for lit in clause) for clause in cnf.clauses]
+    return AllWhiteInstance(len(cnf.clauses), 2 ** half, edges, colors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cnfs(n_max=12))
+@example(CnfInstance(1, [(1,), (-1,)]))
+def test_sat_driver_hands_callers_the_papers_edge_list(cnf):
+    seen = []
+
+    def capture(aw):
+        edges, colors = list(aw.edges), list(aw.colors)
+        seen.append(AllWhiteInstance(aw.num_l, aw.num_r, edges, colors))
+        return AllWhiteCounters(aw)
+
+    sat_via_allwhite(cnf, aw_solver=capture)
+    assert seen == [paper_edge_instance(cnf)]
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 # ---------------------------------------------------------------------------
@@ -234,6 +301,30 @@ def test_dimacs_comments_and_wrapped_clauses():
     text = "c header chatter\np cnf 3 2\n1 -2\n3 0 2 0\n"
     inst = parse_dimacs(text)
     assert inst.clauses == [(1, -2, 3), (2,)]
+
+
+def test_dimacs_satlib_trailer_ends_the_clause_list():
+    # shaped like SATLIB's uf20-91: comment lines, a padded header, clause
+    # lines with leading spaces, then `%`, `0` and a blank line
+    text = (
+        "c This Formular is generated by mcnf\n"
+        "c\n"
+        "p cnf 4  3 \n"
+        " 1 -3 4 0\n"
+        "-2 3 -4 0\n"
+        " 2 1 -3 0\n"
+        "%\n"
+        "0\n"
+        "\n"
+    )
+    assert parse_dimacs(text) == CnfInstance(4, [(1, -3, 4), (-2, 3, -4), (2, 1, -3)])
+    padded = "c 5% of it\np cnf 1 1\n1 0 # 10%\n  %\n0\n"
+    assert parse_dimacs(padded) == CnfInstance(1, [(1,)])
+    # only the tail is dropped, so errors before the trailer keep their line
+    with pytest.raises(ParseError, match="^line 3: 'x 0'"):
+        parse_dimacs("c\np cnf 1 1\nx 0\n%\n0\n")
+    with pytest.raises(ParseError, match="'%x'"):
+        parse_dimacs("p cnf 1 1\n1 0\n%x\n")
 
 
 def test_dimacs_rejects_malformed():
