@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .framework import (
@@ -371,9 +372,11 @@ class SpanningForestProtocol:
         self.super_node = n  # G' lives on nodes 0..n
         self.forest = DynamicForest(n, forest_seed)
         spanning_forest_of(self.graph, self.forest)
-        # sorted forest edges, dropped by every link and cut: the reports of
-        # steps that leave the forest alone share one list
-        self._forest_edges = None
+        # the forest's edges, kept sorted through every link and cut, and the
+        # copy that reports hand out: the reports of steps that leave the
+        # forest alone share one copy, and no later step changes it
+        self._forest_edges = sorted(self.forest.tree_edges())
+        self._reported_edges = None
         self.reps: set[int] = set()
         for v in range(n):
             if self.forest.component_min(v) == v:
@@ -387,15 +390,25 @@ class SpanningForestProtocol:
         self.step_no = 0
 
     def report(self, update=None, valid=True) -> SpanningStep:
-        if self._forest_edges is None:
-            self._forest_edges = sorted(self.forest.tree_edges())
+        if self._reported_edges is None:
+            self._reported_edges = self._forest_edges.copy()
         return SpanningStep(
             self.step_no,
             update,
             valid and not self.desynced,
             len(self.reps),
-            self._forest_edges,
+            self._reported_edges,
         )
+
+    def _link(self, u, v):
+        self.forest.link(u, v)
+        insort(self._forest_edges, (u, v) if u < v else (v, u))
+        self._reported_edges = None
+
+    def _cut(self, u, v):
+        self.forest.cut(u, v)
+        del self._forest_edges[bisect_left(self._forest_edges, (u, v) if u < v else (v, u))]
+        self._reported_edges = None
 
     def initial_report(self) -> SpanningStep:
         return self.report()
@@ -422,8 +435,7 @@ class SpanningForestProtocol:
             rep_u = self.forest.component_min(u)
             rep_v = self.forest.component_min(v)
             loser = max(rep_u, rep_v)
-            self.forest.link(u, v)
-            self._forest_edges = None
+            self._link(u, v)
             self.reps.discard(loser)
             self.oracle.delete(loser, self.super_node)
         return self.report(token)
@@ -434,15 +446,14 @@ class SpanningForestProtocol:
         if not self.forest.has_edge(u, v):
             return self.report(token)
         old_rep = self.forest.component_min(u)
-        self.forest.cut(u, v)
-        self._forest_edges = None
+        self._cut(u, v)
         if self.oracle.is_connected():
             # a replacement exists somewhere; the prover must name it
             proposal = self.prover(self, (u, v))
             if not self._replacement_ok(proposal, (u, v)):
                 self.desynced = True
                 return self.report(token, valid=False)
-            self.forest.link(*proposal)
+            self._link(*proposal)
             return self.report(token)
         # true split: the side without the old representative needs one
         side_u_min = self.forest.component_min(u)
@@ -639,22 +650,24 @@ def oversized_proof_prover(verifier: KconnVerifier, token) -> bytes:
 
 
 def parse_graph(text: str) -> tuple[DynamicGraph, int | None]:
-    edges = []
+    graph = None
     k = None
+
+    def start(counts):
+        nonlocal graph
+        graph = DynamicGraph(counts[0])
 
     def line(parts):
         nonlocal k
         if parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            # range, self-loop and repeat checks name the line
+            graph.insert(int(parts[1]) - 1, int(parts[2]) - 1)
         elif parts[0] == "k":
             k = int(parts[1])
         else:
             raise ParseError("unknown line")
 
-    (n,) = read_lines(text, line, ("graph", 1))
-    graph = DynamicGraph(n)
-    for u, v in edges:
-        graph.insert(u, v)
+    read_lines(text, line, ("graph", 1), on_header=start)
     return graph, k
 
 

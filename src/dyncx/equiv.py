@@ -475,7 +475,10 @@ def graph_set_independent(edges, node_set) -> bool:
 
 def parse_aw(text: str) -> AllWhiteInstance:
     edges = []
-    color_lines = []
+    colors = []
+
+    def start(counts):
+        colors.extend([WHITE] * counts[0])
 
     def line(parts):
         if parts[0] == "e":
@@ -483,16 +486,14 @@ def parse_aw(text: str) -> AllWhiteInstance:
         elif parts[0] == "c":
             if parts[2] not in ("W", "B"):
                 raise ParseError("color must be W or B")
-            color_lines.append((int(parts[1]) - 1, parts[2] == "W"))
+            node = int(parts[1]) - 1
+            if not 0 <= node < len(colors):
+                raise ParseError(f"color line for out-of-range node {node + 1}")
+            colors[node] = parts[2] == "W"
         else:
             raise ParseError("unknown line")
 
-    num_l, num_r = read_lines(text, line, ("aw", 2))
-    colors = [WHITE] * num_l
-    for node, white in color_lines:
-        if not 0 <= node < num_l:
-            raise ParseError(f"color line for out-of-range node {node + 1}")
-        colors[node] = white
+    num_l, num_r = read_lines(text, line, ("aw", 2), on_header=start)
     return AllWhiteInstance(num_l, num_r, edges, colors).validate()
 
 

@@ -19,6 +19,7 @@ the forest's own per-operation budgets and seeded shapes are untouched.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .framework import DyncxError, ProbeMeter
@@ -48,8 +49,23 @@ class _Arc:
         self.size = 1
         self.min_vertex = u if u == v else INF
 
-    def own_key(self):
-        return self.u if self.u == self.v else INF
+
+def _pull(x: _Arc):
+    """Recompute x's subtree size and minimum self-arc vertex from its children."""
+    size = 1
+    mn = x.u if x.u == x.v else INF
+    left = x.left
+    if left is not None:
+        size += left.size
+        if left.min_vertex < mn:
+            mn = left.min_vertex
+    right = x.right
+    if right is not None:
+        size += right.size
+        if right.min_vertex < mn:
+            mn = right.min_vertex
+    x.size = size
+    x.min_vertex = mn
 
 
 def _top(x: _Arc) -> _Arc:
@@ -59,52 +75,62 @@ def _top(x: _Arc) -> _Arc:
     return x
 
 
-def _position(x: _Arc) -> int:
-    """In-order position of x within its treap; unmetered."""
+def _climb(x: _Arc) -> tuple[_Arc, int, int]:
+    """(treap root, depth, in-order position) of x, in one upward walk."""
     pos = x.left.size if x.left is not None else 0
-    while x.parent is not None:
-        if x.parent.right is x:
-            pos += 1 + (x.parent.left.size if x.parent.left is not None else 0)
-        x = x.parent
-    return pos
+    depth = 0
+    up = x.parent
+    while up is not None:
+        if up.right is x:
+            pos += 1 if up.left is None else 1 + up.left.size
+        x = up
+        up = x.parent
+        depth += 1
+    return x, depth, pos
 
 
 def _vertices(root: _Arc, lo: int, hi: int) -> list[int]:
-    """Self-arc vertices at in-order positions lo..hi-1 of root's treap."""
+    """Self-arc vertices at in-order positions lo..hi-1 of root's treap.
+
+    Depth-first, each node before its right subtree and that before its left
+    one. A subtree wholly inside the range is walked without positions.
+    """
     out = []
     stack = [(root, 0)]
     while stack:
         t, base = stack.pop()
-        if t is None or base >= hi or base + t.size <= lo:
+        if base >= hi or base + t.size <= lo:
             continue
-        pos = base + (t.left.size if t.left is not None else 0)
+        if lo <= base and base + t.size <= hi:
+            inner = [t]
+            while inner:
+                x = inner.pop()
+                if x.u == x.v:
+                    out.append(x.u)
+                if x.left is not None:
+                    inner.append(x.left)
+                if x.right is not None:
+                    inner.append(x.right)
+            continue
+        left = t.left
+        pos = base + (left.size if left is not None else 0)
         if lo <= pos < hi and t.u == t.v:
             out.append(t.u)
-        stack.append((t.left, base))
-        stack.append((t.right, pos + 1))
+        if left is not None:
+            stack.append((left, base))
+        if t.right is not None:
+            stack.append((t.right, pos + 1))
     return out
 
 
 def _cartesian(arcs: list[_Arc]) -> _Arc:
     """Treap over arcs in this in-order sequence, min priority on top, O(k)."""
     spine: list[_Arc] = []
-
-    def close(x: _Arc):
-        # x's subtrees are final once it leaves the right spine
-        size, mn = 1, x.own_key()
-        for c in (x.left, x.right):
-            if c is not None:
-                size += c.size
-                if c.min_vertex < mn:
-                    mn = c.min_vertex
-        x.size = size
-        x.min_vertex = mn
-
     for x in arcs:
         last = None
         while spine and spine[-1].prio > x.prio:
             last = spine.pop()
-            close(last)
+            _pull(last)  # its subtrees are final once it leaves the right spine
         x.left = last
         if last is not None:
             last.parent = x
@@ -114,8 +140,97 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
         spine.append(x)
     root = spine[0]
     while spine:
-        close(spine.pop())
+        _pull(spine.pop())
     return root
+
+
+def _split(t: _Arc | None, k: int):
+    """(first k arcs, the rest) of treap t, and the number of nodes on the
+    path split walked down.
+
+    The path's nodes are dealt to the two results top-down, then their sizes
+    and minima are recomputed bottom-up.
+    """
+    path = []
+    left_root = right_root = None
+    left_tail = right_tail = None  # deepest node so far in each result
+    while t is not None:
+        path.append(t)
+        below = t.left
+        left_size = below.size if below is not None else 0
+        if k <= left_size:
+            # t and its right subtree go right; split t's left subtree next
+            if right_tail is None:
+                right_root = t
+            else:
+                right_tail.left = t
+            t.parent = right_tail
+            right_tail = t
+        else:
+            k -= left_size + 1
+            below = t.right
+            if left_tail is None:
+                left_root = t
+            else:
+                left_tail.right = t
+            t.parent = left_tail
+            left_tail = t
+        t = below
+    if left_tail is not None:
+        left_tail.right = None
+    if right_tail is not None:
+        right_tail.left = None
+    for x in reversed(path):
+        _pull(x)
+    return left_root, right_root, len(path)
+
+
+def _merge(a: _Arc | None, b: _Arc | None):
+    """Treap of a's arcs followed by b's, and the number of nodes on the path
+    merge walked down.
+
+    The lower priority of the two current roots goes on the path; a node
+    from a keeps its left subtree and merges on to its right, a node from b
+    the mirror image. Then sizes and minima are recomputed bottom-up.
+    """
+    if a is None:
+        return b, 0
+    if b is None:
+        return a, 0
+    path = []
+    root = prev = None
+    prev_from_a = False
+    while a is not None and b is not None:
+        if a.prio < b.prio:
+            node, a, from_a = a, a.right, True
+        else:
+            node, b, from_a = b, b.left, False
+        if prev is None:
+            root = node
+        elif prev_from_a:
+            prev.right = node
+        else:
+            prev.left = node
+        node.parent = prev
+        path.append(node)
+        prev, prev_from_a = node, from_a
+    rest = a if a is not None else b
+    if prev_from_a:
+        prev.right = rest
+    else:
+        prev.left = rest
+    rest.parent = prev
+    for x in reversed(path):
+        _pull(x)
+    return root, len(path)
+
+
+def _rotate(root: _Arc, pos: int):
+    """root's tour rotated to start at in-order position pos, and the number
+    of nodes its split and merge walked."""
+    a, b, split_nodes = _split(root, pos)
+    tour, merge_nodes = _merge(b, a)
+    return tour, split_nodes + merge_nodes
 
 
 class DynamicForest:
@@ -129,95 +244,20 @@ class DynamicForest:
         self._edge_arc: dict[tuple[int, int], _Arc] = {}
         self._edges = 0
 
-    # -- treap plumbing ----------------------------------------------------
-
-    def _pull(self, x: _Arc):
-        self.meter.charge()
-        size = 1
-        mn = x.own_key()
-        if x.left is not None:
-            size += x.left.size
-            if x.left.min_vertex < mn:
-                mn = x.left.min_vertex
-        if x.right is not None:
-            size += x.right.size
-            if x.right.min_vertex < mn:
-                mn = x.right.min_vertex
-        x.size = size
-        x.min_vertex = mn
-
-    def _root(self, x: _Arc) -> _Arc:
-        while x.parent is not None:
-            self.meter.charge()
-            x = x.parent
-        self.meter.charge()
-        return x
-
-    def _index(self, x: _Arc) -> int:
-        """In-order position of x within its treap."""
-        pos = x.left.size if x.left is not None else 0
-        while x.parent is not None:
-            self.meter.charge()
-            if x.parent.right is x:
-                pos += 1 + (x.parent.left.size if x.parent.left is not None else 0)
-            x = x.parent
-        return pos
-
-    def _merge(self, a: _Arc | None, b: _Arc | None) -> _Arc | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        self.meter.charge()
-        if a.prio < b.prio:
-            right = self._merge(a.right, b)
-            a.right = right
-            right.parent = a
-            self._pull(a)
-            a.parent = None
-            return a
-        left = self._merge(a, b.left)
-        b.left = left
-        left.parent = b
-        self._pull(b)
-        b.parent = None
-        return b
-
-    def _split(self, t: _Arc | None, k: int):
-        """First k arcs into the left result."""
-        if t is None:
-            return None, None
-        self.meter.charge()
-        left_size = t.left.size if t.left is not None else 0
-        if k <= left_size:
-            a, b = self._split(t.left, k)
-            t.left = b
-            if b is not None:
-                b.parent = t
-            self._pull(t)
-            t.parent = None
-            if a is not None:
-                a.parent = None
-            return a, t
-        a, b = self._split(t.right, k - left_size - 1)
-        t.right = a
-        if a is not None:
-            a.parent = t
-        self._pull(t)
-        t.parent = None
-        if b is not None:
-            b.parent = None
-        return t, b
-
-    def _reroot(self, v: int) -> _Arc:
-        """Rotate v's tour to start at its self-arc; returns the treap root."""
-        arc = self._self_arc[v]
-        pos = self._index(arc)
-        root = self._root(arc)
-        a, b = self._split(root, pos)
-        return self._merge(b, a)
+    def __del__(self):
+        # arcs point both ways; without the upward links a dropped forest is
+        # freed at once rather than left for the cyclic collector
+        for arc in getattr(self, "_self_arc", ()):
+            arc.parent = None
+        for arc in getattr(self, "_edge_arc", {}).values():
+            arc.parent = None
 
     # -- public interface --------------------------------------------------
+    #
+    # Probe accounting: a root lookup from x costs depth(x) + 1, a position
+    # lookup depth(x), and a split or merge 2 per node on its path (the visit
+    # and the size/minimum refresh). Each operation sums its probes and adds
+    # them to the meter once, before `end_op` checks the budget.
 
     def _check(self, v: int):
         if not 0 <= v < self.n:
@@ -233,52 +273,68 @@ class DynamicForest:
     def connected(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        self.meter.start_op()
-        same = self._root(self._self_arc[u]) is self._root(self._self_arc[v])
-        self.meter.end_op("connected")
-        return same
+        meter = self.meter
+        meter.start_op()
+        root_u, depth_u, _ = _climb(self._self_arc[u])
+        root_v, depth_v, _ = _climb(self._self_arc[v])
+        meter.count += depth_u + depth_v + 2
+        meter.end_op("connected")
+        return root_u is root_v
 
     def link(self, u: int, v: int):
         self._check(u)
         self._check(v)
         if u == v:
             raise WouldCycle("self-loop")
-        self.meter.start_op()
-        if self._root(self._self_arc[u]) is self._root(self._self_arc[v]):
-            self.meter.end_op("link")
+        meter = self.meter
+        meter.start_op()
+        root_u, depth_u, pos_u = _climb(self._self_arc[u])
+        root_v, depth_v, pos_v = _climb(self._self_arc[v])
+        probes = depth_u + depth_v + 2
+        if root_u is root_v:
+            meter.count += probes
+            meter.end_op("link")
             raise WouldCycle(f"{u} and {v} already connected")
-        tour_u = self._reroot(u)
-        tour_v = self._reroot(v)
+        # rotate each tour to start at its endpoint; the trees differ, so
+        # rotating u's leaves v's walk valid. Each rotation is charged the
+        # position and root lookups it rests on.
+        tour_u, nodes_u = _rotate(root_u, pos_u)
+        tour_v, nodes_v = _rotate(root_v, pos_v)
         arc_uv = _Arc(u, v, self._rng.random())
         arc_vu = _Arc(v, u, self._rng.random())
         self._edge_arc[(u, v)] = arc_uv
         self._edge_arc[(v, u)] = arc_vu
-        self._merge(self._merge(self._merge(tour_u, arc_uv), tour_v), arc_vu)
+        tour, m1 = _merge(tour_u, arc_uv)
+        tour, m2 = _merge(tour, tour_v)
+        _, m3 = _merge(tour, arc_vu)
         self._edges += 1
-        self.meter.end_op("link")
+        meter.count += (probes + 2 * (depth_u + depth_v + 1)
+                        + 2 * (nodes_u + nodes_v + m1 + m2 + m3))
+        meter.end_op("link")
 
     def cut(self, u: int, v: int):
         if (u, v) not in self._edge_arc:
             raise NotTreeEdge(f"({u},{v}) is not a forest edge")
-        self.meter.start_op()
-        first = self._edge_arc[(u, v)]
-        second = self._edge_arc[(v, u)]
-        i = self._index(first)
-        j = self._index(second)
+        meter = self.meter
+        meter.start_op()
+        root, depth_i, i = _climb(self._edge_arc[(u, v)])
+        _, depth_j, j = _climb(self._edge_arc[(v, u)])
         if i > j:
-            first, second = second, first
             i, j = j, i
-        root = self._root(first)
-        a, rest = self._split(root, i)
-        _, rest = self._split(rest, 1)  # drop the down arc
-        mid, tail = self._split(rest, j - i - 1)
-        _, c = self._split(tail, 1)  # drop the up arc
-        self._merge(a, c)
+            depth_i, depth_j = depth_j, depth_i
+        # two position lookups, then the root lookup from the earlier arc
+        probes = depth_i + depth_j + depth_i + 1
+        a, rest, s1 = _split(root, i)
+        _, rest, s2 = _split(rest, 1)  # drop the down arc
+        mid, tail, s3 = _split(rest, j - i - 1)
+        _, c, s4 = _split(tail, 1)  # drop the up arc
+        _, m = _merge(a, c)
         # mid stays as its own tour
         del self._edge_arc[(u, v)]
         del self._edge_arc[(v, u)]
         self._edges -= 1
-        self.meter.end_op("cut")
+        meter.count += probes + 2 * (s1 + s2 + s3 + s4 + m)
+        meter.end_op("cut")
 
     def build(self, edges):
         """Link, in order, each edge whose ends are still in different trees,
@@ -331,17 +387,21 @@ class DynamicForest:
     def component_min(self, v: int) -> int:
         """Smallest vertex id in v's tree."""
         self._check(v)
-        self.meter.start_op()
-        mn = self._root(self._self_arc[v]).min_vertex
-        self.meter.end_op("component_min")
-        return int(mn)
+        meter = self.meter
+        meter.start_op()
+        root, depth, _ = _climb(self._self_arc[v])
+        meter.count += depth + 1
+        meter.end_op("component_min")
+        return int(root.min_vertex)
 
     def component_size(self, v: int) -> int:
         self._check(v)
-        self.meter.start_op()
-        arcs = self._root(self._self_arc[v]).size
-        self.meter.end_op("component_size")
-        return (arcs + 2) // 3
+        meter = self.meter
+        meter.start_op()
+        root, depth, _ = _climb(self._self_arc[v])
+        meter.count += depth + 1
+        meter.end_op("component_size")
+        return (root.size + 2) // 3
 
     # -- unmetered tour walks -----------------------------------------------
 
@@ -366,11 +426,10 @@ class DynamicForest:
         one side's tour, the rest of the tour the other's."""
         if (u, v) not in self._edge_arc:
             raise NotTreeEdge(f"({u},{v}) is not a forest edge")
-        i = _position(self._edge_arc[(u, v)])
-        j = _position(self._edge_arc[(v, u)])
+        root, _, i = _climb(self._edge_arc[(u, v)])
+        j = _climb(self._edge_arc[(v, u)])[2]
         if i > j:
             i, j = j, i
-        root = _top(self._edge_arc[(u, v)])
         inside = j - i - 1
         if inside <= root.size - inside - 2:
             return _vertices(root, i + 1, j)
@@ -386,28 +445,18 @@ class DynamicForest:
         dup._rng.setstate(self._rng.getstate())
         dup.meter = ProbeMeter(self.meter.budget)
         dup._edges = self._edges
-        mapping: dict[int, _Arc] = {}
-
-        def clone(node: _Arc | None, parent: _Arc | None):
-            if node is None:
-                return None
-            twin = _Arc(node.u, node.v, node.prio)
-            twin.size = node.size
-            twin.min_vertex = node.min_vertex
-            twin.parent = parent
-            twin.left = clone(node.left, twin)
-            twin.right = clone(node.right, twin)
-            mapping[id(node)] = twin
-            return twin
-
-        roots = {}
-        for arc in self._self_arc:
-            node = arc
-            while node.parent is not None:
-                node = node.parent
-            roots[id(node)] = node
-        for root in roots.values():
-            clone(root, None)
-        dup._self_arc = [mapping[id(arc)] for arc in self._self_arc]
-        dup._edge_arc = {key: mapping[id(arc)] for key, arc in self._edge_arc.items()}
+        # every arc is a self-arc or an edge arc: clone them all, then wire
+        # the twins up; no recursion, and nothing left in a reference cycle
+        twins = {None: None}
+        for arc in itertools.chain(self._self_arc, self._edge_arc.values()):
+            twins[arc] = _Arc(arc.u, arc.v, arc.prio)
+        for arc, twin in twins.items():
+            if twin is not None:
+                twin.size = arc.size
+                twin.min_vertex = arc.min_vertex
+                twin.left = twins[arc.left]
+                twin.right = twins[arc.right]
+                twin.parent = twins[arc.parent]
+        dup._self_arc = [twins[arc] for arc in self._self_arc]
+        dup._edge_arc = {key: twins[arc] for key, arc in self._edge_arc.items()}
         return dup

@@ -100,15 +100,17 @@ def decode_edge_set(payload: bytes) -> list[tuple[int, int]]:
 
 
 def read_lines(text: str, handle, header: tuple[str, int] | None = None,
-               comment: str | None = None) -> tuple[int, ...]:
+               comment: str | None = None, on_header=None) -> tuple[int, ...]:
     """Call handle(fields) for each body line of `text`; return the header counts.
 
     `#` starts a comment. Blank lines, and lines whose first field is
     `comment`, are skipped. With header=(kind, arity) the first remaining
     line must be `p <kind>` and `arity` integer counts in 0..env_budget(),
     and no other `p` line may follow; a negative count is a ParseError, one
-    past the budget a BudgetExceeded. A ValueError, IndexError or
-    DyncxError from `handle` comes back as a ParseError naming the line.
+    past the budget a BudgetExceeded. on_header(counts), when given, runs
+    once the header is read, so that `handle` can check ids against the
+    counts line by line. A ValueError, IndexError or DyncxError from
+    `handle` comes back as a ParseError naming the line.
     """
     counts = None if header else ()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -118,6 +120,8 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
             continue
         if counts is None:
             counts = _header_counts(parts, *header, lineno)
+            if on_header is not None:
+                on_header(counts)
             continue
         try:
             if parts[0] == "p" and header:

@@ -355,6 +355,26 @@ def test_spanning_reports_share_the_forest_list_until_it_changes():
     assert first.forest_edges == [(0, 1), (0, 3), (1, 2)]
 
 
+@pytest.mark.parametrize("prover", [honest_replacement_prover, stubborn_replacement_prover],
+                         ids=["honest", "adversarial:stubborn"])
+def test_spanning_reports_hold_the_sorted_forest_of_their_step(rng, prover):
+    desyncs = 0
+    for _ in range(25):
+        graph = rand_graph(rng)
+        protocol = SpanningForestProtocol(graph, prover=prover)
+        reports = [protocol.initial_report()]
+        held = [list(reports[0].forest_edges)]
+        assert held[0] == sorted(protocol.forest.tree_edges())
+        for token in rand_edge_stream(rng, graph, 40):
+            reports.append(protocol.apply(token))
+            held.append(list(reports[-1].forest_edges))
+            assert held[-1] == sorted(protocol.forest.tree_edges())
+        desyncs += protocol.desynced
+        # later links and cuts never reach an earlier report's list
+        assert [r.forest_edges for r in reports] == held
+    assert desyncs > 0 if prover is stubborn_replacement_prover else desyncs == 0
+
+
 def test_honest_replacement_prover_names_a_straddling_edge():
     graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     protocol = SpanningForestProtocol(graph)

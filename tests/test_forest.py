@@ -1,6 +1,9 @@
-import pytest
+import gc
 
-from dyncx.forest import DynamicForest, NotTreeEdge, WouldCycle
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dyncx.forest import INF, DynamicForest, NotTreeEdge, WouldCycle, _Arc, _vertices
 from dyncx.framework import BudgetExceeded, polylog_budget
 from dyncx.oracles import component_count, components
 
@@ -247,3 +250,301 @@ def test_tour_walks_read_without_metering_or_drawing(rng):
         assert (f.meter.count, f._rng.getstate()) == (probes, state)
     with pytest.raises(NotTreeEdge):
         f.smaller_side(0, 0)
+
+
+def test_dropped_forest_leaves_no_cyclic_garbage(rng):
+    # reference counting alone frees a forest and its copy
+    gc.collect()
+    gc.disable()
+    try:
+        f = DynamicForest(40, seed=2)
+        f.build([(i, i + 1) for i in range(0, 39, 2)])
+        for _ in range(60):
+            u, v = rng.sample(range(40), 2)
+            if not f.connected(u, v):
+                f.link(u, v)
+            elif f.tree_edges():
+                f.cut(*rng.choice(f.tree_edges()))
+        g = f.copy()
+        del f, g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class RecursiveForest(DynamicForest):
+    """The recursive treap plumbing the loops replaced, charging the meter
+    probe by probe: the reference for shapes, probe counts and RNG draws."""
+
+    def _pull(self, x):
+        self.meter.charge()
+        size = 1
+        mn = x.u if x.u == x.v else INF
+        if x.left is not None:
+            size += x.left.size
+            if x.left.min_vertex < mn:
+                mn = x.left.min_vertex
+        if x.right is not None:
+            size += x.right.size
+            if x.right.min_vertex < mn:
+                mn = x.right.min_vertex
+        x.size = size
+        x.min_vertex = mn
+
+    def _root(self, x):
+        while x.parent is not None:
+            self.meter.charge()
+            x = x.parent
+        self.meter.charge()
+        return x
+
+    def _index(self, x):
+        pos = x.left.size if x.left is not None else 0
+        while x.parent is not None:
+            self.meter.charge()
+            if x.parent.right is x:
+                pos += 1 + (x.parent.left.size if x.parent.left is not None else 0)
+            x = x.parent
+        return pos
+
+    def _merge(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        self.meter.charge()
+        if a.prio < b.prio:
+            right = self._merge(a.right, b)
+            a.right = right
+            right.parent = a
+            self._pull(a)
+            a.parent = None
+            return a
+        left = self._merge(a, b.left)
+        b.left = left
+        left.parent = b
+        self._pull(b)
+        b.parent = None
+        return b
+
+    def _split(self, t, k):
+        if t is None:
+            return None, None
+        self.meter.charge()
+        left_size = t.left.size if t.left is not None else 0
+        if k <= left_size:
+            a, b = self._split(t.left, k)
+            t.left = b
+            if b is not None:
+                b.parent = t
+            self._pull(t)
+            t.parent = None
+            if a is not None:
+                a.parent = None
+            return a, t
+        a, b = self._split(t.right, k - left_size - 1)
+        t.right = a
+        if a is not None:
+            a.parent = t
+        self._pull(t)
+        t.parent = None
+        if b is not None:
+            b.parent = None
+        return t, b
+
+    def _reroot(self, v):
+        arc = self._self_arc[v]
+        pos = self._index(arc)
+        root = self._root(arc)
+        a, b = self._split(root, pos)
+        return self._merge(b, a)
+
+    def connected(self, u, v):
+        self._check(u)
+        self._check(v)
+        self.meter.start_op()
+        same = self._root(self._self_arc[u]) is self._root(self._self_arc[v])
+        self.meter.end_op("connected")
+        return same
+
+    def link(self, u, v):
+        self._check(u)
+        self._check(v)
+        if u == v:
+            raise WouldCycle("self-loop")
+        self.meter.start_op()
+        if self._root(self._self_arc[u]) is self._root(self._self_arc[v]):
+            self.meter.end_op("link")
+            raise WouldCycle(f"{u} and {v} already connected")
+        tour_u = self._reroot(u)
+        tour_v = self._reroot(v)
+        arc_uv = _Arc(u, v, self._rng.random())
+        arc_vu = _Arc(v, u, self._rng.random())
+        self._edge_arc[(u, v)] = arc_uv
+        self._edge_arc[(v, u)] = arc_vu
+        self._merge(self._merge(self._merge(tour_u, arc_uv), tour_v), arc_vu)
+        self._edges += 1
+        self.meter.end_op("link")
+
+    def cut(self, u, v):
+        if (u, v) not in self._edge_arc:
+            raise NotTreeEdge(f"({u},{v}) is not a forest edge")
+        self.meter.start_op()
+        first = self._edge_arc[(u, v)]
+        second = self._edge_arc[(v, u)]
+        i = self._index(first)
+        j = self._index(second)
+        if i > j:
+            first, second = second, first
+            i, j = j, i
+        root = self._root(first)
+        a, rest = self._split(root, i)
+        _, rest = self._split(rest, 1)
+        mid, tail = self._split(rest, j - i - 1)
+        _, c = self._split(tail, 1)
+        self._merge(a, c)
+        del self._edge_arc[(u, v)]
+        del self._edge_arc[(v, u)]
+        self._edges -= 1
+        self.meter.end_op("cut")
+
+    def component_min(self, v):
+        self._check(v)
+        self.meter.start_op()
+        mn = self._root(self._self_arc[v]).min_vertex
+        self.meter.end_op("component_min")
+        return int(mn)
+
+    def component_size(self, v):
+        self._check(v)
+        self.meter.start_op()
+        arcs = self._root(self._self_arc[v]).size
+        self.meter.end_op("component_size")
+        return (arcs + 2) // 3
+
+
+def treap_shape(f):
+    """Every arc's key mapped to its fields and its neighbours' keys; an
+    arc's key (u, v) is unique within a forest."""
+
+    def key(x):
+        return None if x is None else (x.u, x.v)
+
+    arcs = list(f._self_arc) + list(f._edge_arc.values())
+    return {key(x): (x.prio, x.size, x.min_vertex, key(x.left), key(x.right), key(x.parent))
+            for x in arcs}
+
+
+def run_op(f, op):
+    """(result, exception type) of one op on f."""
+    kind, a, b = op
+    try:
+        if kind == "link":
+            return f.link(a, b), None
+        if kind == "cut":
+            return f.cut(a, b), None
+        if kind == "connected":
+            return f.connected(a, b), None
+        if kind == "min":
+            return f.component_min(a), None
+        return f.component_size(a), None
+    except (WouldCycle, NotTreeEdge, BudgetExceeded) as exc:
+        return None, type(exc)
+
+
+def assert_same_treaps(f, ref):
+    assert f.meter.count == ref.meter.count
+    assert f._rng.getstate() == ref._rng.getstate()
+    assert f.edge_count == ref.edge_count
+    assert treap_shape(f) == treap_shape(ref)
+
+
+def drive_pair(n, seed, budget, build_edges, ops):
+    """Both forests through the same ops, compared after each; returns the
+    index of the first op that ran over the budget, or None."""
+    f = DynamicForest(n, seed=seed, op_budget=budget)
+    ref = RecursiveForest(n, seed=seed, op_budget=budget)
+    f.build(build_edges)
+    ref.build(build_edges)
+    assert_same_treaps(f, ref)
+    first_trip = None
+    for t, (kind, a, b) in enumerate(ops):
+        a, b = a % n, b % n
+        if kind == "cut_tree":
+            # a forest edge, either way round, when there is one
+            tree = ref.tree_edges()
+            kind = "cut"
+            if tree:
+                x, y = tree[a % len(tree)]
+                a, b = (x, y) if b % 2 else (y, x)
+        got, want = run_op(f, (kind, a, b)), run_op(ref, (kind, a, b))
+        assert got == want, (t, kind, a, b)
+        if want[1] is BudgetExceeded and first_trip is None:
+            first_trip = t
+        assert_same_treaps(f, ref)
+    dup = f.copy()
+    assert treap_shape(dup) == treap_shape(f)
+    assert dup._rng.getstate() == f._rng.getstate() and dup.tree_edges() == f.tree_edges()
+    return first_trip
+
+
+forest_ops = st.lists(
+    st.tuples(st.sampled_from(["link", "link", "cut", "cut_tree", "cut_tree",
+                               "connected", "min", "size"]),
+              st.integers(0, 63), st.integers(0, 63)),
+    max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**16), st.none() | st.integers(1, 40),
+       st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=20),
+       forest_ops)
+def test_loop_treap_matches_recursive_reference(n, seed, budget, build_edges, ops):
+    build_edges = [(u % n, v % n) for u, v in build_edges]
+    drive_pair(n, seed, budget, build_edges, ops)
+
+
+def test_loop_treap_matches_reference_on_deep_treaps(rng):
+    n = 120
+    ops = []
+    for _ in range(600):
+        ops.append((rng.choice(["link", "link", "cut_tree", "connected", "min", "size"]),
+                    rng.randrange(1 << 12), rng.randrange(1 << 12)))
+    assert drive_pair(n, 7, None, [(i, i + 1) for i in range(0, n - 1, 3)], ops) is None
+
+
+def test_tiny_budget_trips_on_the_same_op_in_both():
+    # linking a path: later links walk deeper treaps and trip larger budgets
+    ops = [("link", i, i + 1) for i in range(63)]
+    trips = [drive_pair(64, 3, budget, [], ops) for budget in (2, 40, 60)]
+    assert trips[0] == 0 and 0 < trips[1] < trips[2]
+
+
+def vertices_by_position(root, lo, hi):
+    """The position-tracking walk `_vertices` shortcuts, node by node."""
+    out = []
+    stack = [(root, 0)]
+    while stack:
+        t, base = stack.pop()
+        if t is None or base >= hi or base + t.size <= lo:
+            continue
+        pos = base + (t.left.size if t.left is not None else 0)
+        if lo <= pos < hi and t.u == t.v:
+            out.append(t.u)
+        stack.append((t.left, base))
+        stack.append((t.right, pos + 1))
+    return out
+
+
+def test_tour_walk_shortcut_keeps_vertices_and_their_order(rng):
+    for trial in range(30):
+        n = rng.randint(1, 60)
+        f = DynamicForest(n, seed=trial)
+        f.build([(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
+        for v in rng.sample(range(n), min(n, 5)):
+            root = f.tree_of(v)
+            assert f.tree_vertices(v) == vertices_by_position(root, 0, root.size)
+            for _ in range(5):
+                lo = rng.randint(-1, root.size)
+                hi = rng.randint(lo, root.size + 1)
+                assert _vertices(root, lo, hi) == vertices_by_position(root, lo, hi)

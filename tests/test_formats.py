@@ -17,7 +17,7 @@ from dyncx.equiv import (
     parse_ov,
 )
 from dyncx.fdt import DecisionTree, End, FdtInstance, Read, Write, format_trees, parse_trees
-from dyncx.framework import DyncxError, UpdateStream
+from dyncx.framework import DyncxError, ParseError, UpdateStream
 from dyncx.reductions import CnfInstance, format_dimacs, parse_dimacs
 
 bits = st.integers(0, 1)
@@ -189,3 +189,16 @@ def test_only_package_errors_escape_a_parser(name, data):
         FORMATS[name][2](text)
     except DyncxError:
         pass
+
+
+@pytest.mark.parametrize("parse, text, lineno", [
+    (parse_graph, "p graph 2\ne 1 5\n", 2),
+    (parse_graph, "p graph 3\n# a comment\ne 1 2\n\ne 2 1\n", 5),
+    (parse_graph, "p graph 3\ne 2 2\n", 2),
+    (parse_aw, "p aw 1 1\nc 3 W\n", 2),
+    (parse_aw, "p aw 2 1\ne 1 1\nc 0 B\n", 3),
+], ids=["graph-edge-out-of-range", "graph-repeated-edge", "graph-self-loop",
+        "aw-color-out-of-range", "aw-color-node-zero"])
+def test_id_checks_name_the_line(parse, text, lineno):
+    with pytest.raises(ParseError, match=rf"^line {lineno}: "):
+        parse(text)
