@@ -461,10 +461,21 @@ def first_dnf_query(aug: AugmentedFirstDnf, counters: ClauseCounters) -> int | N
 
 
 def parse_dnf(text: str):
-    """Returns DnfInstance, or FirstDnfInstance when an order line is present."""
+    """Returns DnfInstance, or FirstDnfInstance when an order line is present.
+
+    Each line is checked as it is read, against the header counts, for
+    everything `DnfInstance.validate` and `FirstDnfInstance.validate` check
+    (literal range, repeated variables, declared width, assignment length,
+    order a permutation), so an error names its line.
+    """
     clauses: list[Clause] = []
     assignment = None
     order = None
+    n = m = w = 0
+
+    def start(counts):
+        nonlocal n, m, w
+        n, m, w = counts
 
     def line(parts):
         nonlocal assignment, order
@@ -472,25 +483,34 @@ def parse_dnf(text: str):
             assignment = [int(tok) for tok in parts[1:]]
             if any(b not in (0, 1) for b in assignment):
                 raise ParseError("assignment bits must be 0/1")
+            if len(assignment) != n:
+                raise ParseError(f"{len(assignment)} assignment bits, header says {n}")
         elif parts[0] == "o":
             order = [int(tok) - 1 for tok in parts[1:]]
+            if sorted(order) != list(range(m)):
+                raise ParseError("order must be a permutation of clause ids")
         else:
             lits = [int(tok) for tok in parts]
-            if lits[-1] != 0:
+            if lits.pop() != 0:
                 raise ParseError("clause must end with 0")
-            if 0 in lits[:-1]:
+            variables = {abs(lit) for lit in lits}
+            if 0 in variables:
                 raise ParseError("stray 0 inside clause")
-            clauses.append(clause(*lits[:-1]))
+            if len(lits) > w:
+                raise MalformedClause(f"{len(lits)} literals, declared width is {w}")
+            if len(variables) != len(lits):
+                raise MalformedClause("a variable appears twice")
+            if lits and max(variables) > n:
+                raise VarOutOfRange(f"variable {max(variables)} out of range 1..{n}")
+            clauses.append(clause(*lits))
 
-    n, m, w = read_lines(text, line, ("dnf", 3), comment="c")
+    read_lines(text, line, ("dnf", 3), comment="c", on_header=start)
     if len(clauses) != m:
         raise ParseError(f"header says {m} clauses, file has {len(clauses)}")
     if assignment is None:
         assignment = [0] * n
-    inst = DnfInstance(n, clauses, assignment, w).validate()
-    if order is not None:
-        return FirstDnfInstance(inst, order).validate()
-    return inst
+    inst = DnfInstance(n, clauses, assignment, w)
+    return inst if order is None else FirstDnfInstance(inst, order)
 
 
 def format_dnf(inst) -> str:

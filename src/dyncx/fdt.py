@@ -10,14 +10,17 @@ ORIGINAL memory and each tree satisfies exactly one such clause.
 That observation is the bridge to first-DNF (`fdt_to_fdnf`), and the other
 direction of the machinery compiles a clause-checking verifier into trees
 (`compile_dnf_verifier_to_trees`) so a reward-maximizing proof can be read
-off an fdt oracle (`completeness_harness`).
+off an fdt oracle (`completeness_harness`). `fdt_to_fdnf` emits every path;
+the oracle (`FdtOracle`) keeps only the paths ranked up to the first
+read-free one, since no later path can be the first satisfied.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .framework import (
     BudgetExceeded,
@@ -317,21 +320,42 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
 class FdtOracle:
     """Mirror of the verifier memory that answers the rank argmax by index.
 
-    Every root-to-leaf path of every tree is a clause (`root_to_leaf_paths`)
-    held in a `ClauseCounters`, at its position in `fdt_to_fdnf`'s order
-    (-rank, tree, discovery). In normal form exactly one path per tree is
-    satisfied on the current memory, so the first satisfied position
-    belongs to `fdt_answer`'s tree. An update costs the bit's occurrences
-    over all paths, an answer O(log paths) amortized. The mirrored memory
-    is the counters' assignment.
+    Root-to-leaf paths are clauses (`root_to_leaf_paths`) held in a
+    `ClauseCounters`, at their positions in `fdt_to_fdnf`'s order (-rank,
+    tree, discovery). In normal form exactly one path per tree is satisfied
+    on the current memory, so the first satisfied position belongs to
+    `fdt_answer`'s tree. A read-free path (a chain of writes from the root
+    to an end node) has no literals and is always satisfied, so nothing
+    ranked after the first one can come first: the oracle keeps only the
+    paths up to and including it. For compiled verifiers that is each
+    clause's accepting path and the trailing null-proof tree. An update
+    costs the bit's occurrences over the kept paths, an answer O(log
+    paths) amortized. The mirrored memory is the counters' assignment.
     """
 
     def __init__(self, inst: FdtInstance):
         inst.validate()
         self.updates = 0
-        # one path per End node: bucket start per rank, highest rank first
+        trees = inst.trees
+        # the cut: the top-ranked read-free tree, lowest index on ties,
+        # found by following each root's write chain
+        cut_rank, cut_tree = -math.inf, len(trees)
+        for t_idx, tree in enumerate(trees):
+            nodes = tree.nodes
+            node = nodes[0]
+            while isinstance(node, Write):
+                node = nodes[node.child]
+            if isinstance(node, End) and node.rank > cut_rank:
+                cut_rank, cut_tree = node.rank, t_idx
+
+        # one path per kept End node: bucket start per rank, highest first;
+        # a rank tied with the cut's is kept up to the cut's tree
         per_rank = Counter(
-            node.rank for t in inst.trees for node in t.nodes if isinstance(node, End)
+            node.rank
+            for t_idx, tree in enumerate(trees)
+            for node in tree.nodes
+            if isinstance(node, End)
+            and (node.rank > cut_rank or node.rank == cut_rank and t_idx <= cut_tree)
         )
         offset, total = {}, 0
         for rank in sorted(per_rank, reverse=True):
@@ -340,13 +364,14 @@ class FdtOracle:
         self.path_tree = array("i", [0]) * total
 
         def placed():
-            for t_idx, tree in enumerate(inst.trees):
+            for t_idx, tree in enumerate(trees):
                 for leaf, lits in root_to_leaf_paths(tree):
                     rank = tree.nodes[leaf].rank
-                    pos = offset[rank]
-                    offset[rank] = pos + 1
-                    self.path_tree[pos] = t_idx
-                    yield pos, lits
+                    if rank > cut_rank or rank == cut_rank and t_idx <= cut_tree:
+                        pos = offset[rank]
+                        offset[rank] = pos + 1
+                        self.path_tree[pos] = t_idx
+                        yield pos, lits
 
         self.paths = ClauseCounters.from_literals(
             len(inst.memory), inst.memory, total, placed()

@@ -25,6 +25,8 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class DyncxError(Exception):
@@ -236,20 +238,33 @@ def format_token(tok: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifierOutput:
-    x: int
-    y: int
+class VerifierOutput(tuple):
+    """A step's answer bit x and signed integer reward y.
 
-    def __post_init__(self):
-        if self.x not in (0, 1):
-            raise ValueError(f"x must be a bit, got {self.x!r}")
-        if not isinstance(self.y, int) or isinstance(self.y, bool):
-            raise ValueError(f"y must be a signed integer, got {self.y!r}")
+    An immutable (x, y) tuple rather than a frozen dataclass: every protocol
+    step builds one, and a tuple is built in one call once x and y check out.
+    """
+
+    __slots__ = ()
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
+
+    def __new__(cls, x: int, y: int):
+        if x not in (0, 1):
+            raise ValueError(f"x must be a bit, got {x!r}")
+        if not isinstance(y, int) or isinstance(y, bool):
+            raise ValueError(f"y must be a signed integer, got {y!r}")
+        return tuple.__new__(cls, (x, y))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"VerifierOutput(x={self[0]!r}, y={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class TranscriptRecord:
+class TranscriptRecord(NamedTuple):
     step: int
     update: tuple | None
     proof: bytes | None
@@ -359,14 +374,15 @@ def run_protocol(verifier_factory, prover, initial_instance, stream) -> ProofTra
     """
     verifier = verifier_factory(initial_instance)
     transcript = ProofTranscript()
-    transcript.append(TranscriptRecord(0, None, None, verifier.initial_output()))
+    records = transcript.records
+    records.append(TranscriptRecord(0, None, None, verifier.initial_output()))
     limit = getattr(verifier, "max_proof_len", MAX_PROOF_LEN)
     for t, tok in enumerate(stream, 1):
         proof = prover(verifier, tok)
         if not isinstance(proof, (bytes, bytearray)) or len(proof) > limit:
             raise ProofOutOfSpace(f"step {t}: unencodable proof {proof!r}")
-        out = verifier.step(tok, bytes(proof))
-        transcript.append(TranscriptRecord(t, tok, bytes(proof), out))
+        proof = bytes(proof)
+        records.append(TranscriptRecord(t, tok, proof, verifier.step(tok, proof)))
     return transcript
 
 

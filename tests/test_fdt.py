@@ -1,10 +1,19 @@
 import itertools
 import random
+from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncx.dnf import DnfInstance, clause, eval_bruteforce, first_satisfied_bruteforce, parse_dnf
+from dyncx.dnf import (
+    ClauseCounters,
+    DnfInstance,
+    clause,
+    eval_bruteforce,
+    first_satisfied_bruteforce,
+    parse_dnf,
+)
 from dyncx.fdt import (
     DecisionTree,
     EmptyCollection,
@@ -25,6 +34,7 @@ from dyncx.fdt import (
     fdt_update,
     format_trees,
     parse_trees,
+    root_to_leaf_paths,
 )
 from dyncx.framework import BudgetExceeded, ParseError, ProbeMeter, UpdateStream
 
@@ -373,6 +383,101 @@ def test_oracle_answer_equals_rank_argmax_after_every_update(data):
     assert oracle.updates == len(drawn)
 
 
+class AllPathsFdtOracle(FdtOracle):
+    """Reference construction: every root-to-leaf path of every tree, in
+    `fdt_to_fdnf`'s order, with no cut at the first read-free path."""
+
+    def __init__(self, inst: FdtInstance):
+        inst.validate()
+        self.updates = 0
+        per_rank = Counter(
+            node.rank for t in inst.trees for node in t.nodes if isinstance(node, End)
+        )
+        offset, total = {}, 0
+        for rank in sorted(per_rank, reverse=True):
+            offset[rank] = total
+            total += per_rank[rank]
+        self.path_tree = array("i", [0]) * total
+
+        def placed():
+            for t_idx, tree in enumerate(inst.trees):
+                for leaf, lits in root_to_leaf_paths(tree):
+                    rank = tree.nodes[leaf].rank
+                    pos = offset[rank]
+                    offset[rank] = pos + 1
+                    self.path_tree[pos] = t_idx
+                    yield pos, lits
+
+        self.paths = ClauseCounters.from_literals(
+            len(inst.memory), inst.memory, total, placed()
+        )
+
+
+def read_free_tree(data, width):
+    """A chain of 0-3 writes from the root down to one end node."""
+    chain = data.draw(st.integers(0, 3))
+    nodes = [Write(data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, 1)), k + 1)
+             for k in range(chain)]
+    nodes.append(End(data.draw(st.integers(0, 1)), 0, data.draw(st.integers(-2, 2))))
+    return DecisionTree(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pruned_oracle_matches_the_all_paths_reference(data):
+    width = data.draw(st.integers(1, 4))
+    trees = [
+        read_free_tree(data, width) if data.draw(st.booleans()) else drawn_tree(data, width)
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    memory = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    ref = FdtInstance(list(memory), trees).validate()
+    oracle = FdtOracle(FdtInstance(list(memory), trees))
+    reference = AllPathsFdtOracle(FdtInstance(list(memory), trees))
+    # kept positions are a prefix of the reference order
+    assert oracle.path_tree == reference.path_tree[: len(oracle.path_tree)]
+
+    def agree():
+        assert oracle.answer() == reference.answer() == fdt_answer(ref)
+        assert oracle.memory_view() == reference.memory_view() == ref.memory
+
+    agree()
+    updates = st.tuples(st.integers(0, width - 1), st.integers(0, 1))
+    for pos, bit in data.draw(st.lists(updates, max_size=15)):
+        oracle.update(pos, bit)
+        reference.update(pos, bit)
+        fdt_update(ref, pos, bit)
+        agree()
+
+
+def test_oracle_cuts_at_the_first_read_free_path():
+    lone = DecisionTree([End(0, 0, 0)])
+    chain = DecisionTree([Write(0, 1, 1), End(1, 0, 2)])
+    ranked = DecisionTree([Read(0, 1, 2), End(0, 0, -1), End(1, 1, 3)])
+    cases = [
+        ([lone, single_read()], [1, 0]),  # rank-0 lone end ties the bit-0 path
+        ([single_read(), lone], [0, 0, 1]),  # tie at rank 0: lower tree first
+        ([lone, DecisionTree([End(1, 0, 0)])], [0]),  # tied read-free: the first
+        ([lone, chain, lone], [1]),  # a later, higher-ranked one moves the cut
+        ([ranked, chain, lone, single_read()], [0, 1]),  # rank 2 chain beats the rest
+        ([single_read(), ranked], [1, 0, 0, 1]),  # no read-free tree: every path
+    ]
+    for trees, path_tree in cases:
+        oracle = FdtOracle(FdtInstance([0], trees))
+        assert list(oracle.path_tree) == path_tree
+        assert oracle.answer() == fdt_answer(FdtInstance([0], trees))
+
+
+def test_oracle_keeps_one_path_per_clause_of_a_compiled_verifier(rng):
+    for _ in range(20):
+        inst = rand_compilable(rng)
+        trees = compile_dnf_verifier_to_trees(inst)
+        oracle = FdtOracle(FdtInstance(list(inst.assignment), trees))
+        m = len(inst.clauses)
+        assert len(oracle.path_tree) == m + 1
+        assert list(oracle.path_tree) == list(range(m + 1))
+
+
 def test_oracle_refuses_what_the_reference_refuses():
     with pytest.raises(EmptyCollection):
         FdtOracle(FdtInstance([0], [])).answer()
@@ -442,6 +547,33 @@ def test_harness_trace_records_choice(rng):
     for rec in trace:
         assert set(rec) >= {"update", "proof_tree", "leaf", "mirrored_bits", "y"}
     assert trace[0]["update"] is None
+
+
+def test_harness_same_with_pruned_and_all_paths_oracle(rng):
+    for trial in range(30):
+        inst = rand_compilable(rng) if trial % 2 else rand_dnf_verifier_input(rng)
+        trees = compile_dnf_verifier_to_trees(inst)
+        stream = [("q",) if rng.random() < 0.1
+                  else ("f", rng.randrange(inst.num_vars), rng.randrange(2))
+                  for _ in range(40)]
+        runs = []
+        for make in (None, FdtOracle, AllPathsFdtOracle):
+            oracle = make and make(FdtInstance(list(inst.assignment), list(trees)))
+            trace = []
+            answers = completeness_harness(trees, list(inst.assignment), stream,
+                                           oracle=oracle, trace=trace)
+            runs.append((answers, trace))
+        assert runs[0] == runs[1] == runs[2]
+
+
+def rand_dnf_verifier_input(rng):
+    """A larger compilable instance: 6-10 variables, 5-20 clauses of width 1-3."""
+    n = rng.randrange(6, 11)
+    clauses = [
+        clause(*[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), w)])
+        for w in (rng.randrange(1, 4) for _ in range(rng.randrange(5, 21)))
+    ]
+    return DnfInstance(n, clauses, [rng.randrange(2) for _ in range(n)], 3).validate()
 
 
 def test_harness_rejects_foreign_tokens(rng):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncx.connectivity import DynamicGraph, format_graph, parse_graph
-from dyncx.dnf import Clause, DnfInstance, FirstDnfInstance, format_dnf, parse_dnf
+from dyncx.dnf import Clause, DnfInstance, FirstDnfInstance, clause, format_dnf, parse_dnf
 from dyncx.equiv import (
     AllWhiteInstance,
     HypergraphInstance,
@@ -197,8 +197,50 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_graph, "p graph 3\ne 2 2\n", 2),
     (parse_aw, "p aw 1 1\nc 3 W\n", 2),
     (parse_aw, "p aw 2 1\ne 1 1\nc 0 B\n", 3),
+    (parse_dnf, "p dnf 2 1 2\n3 0\na 0 0\n", 2),
+    (parse_dnf, "p dnf 2 2 2\n1 0\n# a comment\n-2 2 0\n", 4),
+    (parse_dnf, "p dnf 3 1 2\n1 2 3 0\n", 2),
+    (parse_dnf, "p dnf 2 1 2\n1 0\na 0\n", 3),
+    (parse_dnf, "p dnf 2 2 1\n1 0\n2 0\no 1 1\n", 4),
 ], ids=["graph-edge-out-of-range", "graph-repeated-edge", "graph-self-loop",
-        "aw-color-out-of-range", "aw-color-node-zero"])
+        "aw-color-out-of-range", "aw-color-node-zero", "dnf-literal-out-of-range",
+        "dnf-repeated-variable", "dnf-wider-than-declared", "dnf-short-assignment",
+        "dnf-order-not-a-permutation"])
 def test_id_checks_name_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=rf"^line {lineno}: "):
         parse(text)
+
+
+@st.composite
+def dnf_files(draw):
+    """A `p dnf` file that may break any rule `validate` checks, with the
+    instance its lines spell out."""
+    n, w = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    literal = st.integers(-n - 1, n + 1).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=4))
+    assignment = draw(st.none() | st.lists(bits, min_size=max(0, n - 1), max_size=n + 1))
+    ids = range(len(clauses))
+    order = draw(st.none() | st.permutations(ids)
+                 | st.lists(st.integers(0, len(clauses)), max_size=len(clauses) + 1))
+    lines = [f"p dnf {n} {len(clauses)} {w}"]
+    lines += [" ".join(map(str, c + [0])) for c in clauses]
+    if assignment is not None:
+        lines.append(" ".join(["a", *map(str, assignment)]))
+    if order is not None:
+        lines.append(" ".join(["o", *(str(j + 1) for j in order)]))
+    inst = DnfInstance(n, [clause(*c) for c in clauses],
+                       [0] * n if assignment is None else assignment, w)
+    return "\n".join(lines) + "\n", inst if order is None else FirstDnfInstance(inst, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dnf_files())
+def test_parse_dnf_rejects_exactly_what_validate_rejects(case):
+    text, inst = case
+    try:
+        inst.validate()
+    except ParseError:
+        with pytest.raises(ParseError, match=r"^line \d+: "):
+            parse_dnf(text)
+    else:
+        assert parse_dnf(text) == inst

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from dyncx.framework import (
     ParseError,
     ProbeMeter,
     ProofOutOfSpace,
+    TranscriptRecord,
     UndecodableUpdate,
     UpdateStream,
     VerifierOutput,
@@ -122,6 +124,38 @@ def test_verifier_output_validation():
         VerifierOutput(2, 0)
     with pytest.raises(ValueError):
         VerifierOutput(0, True)
+
+
+def test_records_are_immutable_values():
+    out = VerifierOutput(1, -3)
+    assert out == VerifierOutput(1, -3) and hash(out) == hash(VerifierOutput(1, -3))
+    assert out != VerifierOutput(1, 3)
+    assert (out.x, out.y) == (1, -3)
+    assert repr(out) == "VerifierOutput(x=1, y=-3)"
+    rec = TranscriptRecord(2, ("q",), b"\x01", out)
+    assert rec == TranscriptRecord(2, ("q",), b"\x01", VerifierOutput(1, -3))
+    assert (rec.step, rec.update, rec.proof, rec.output) == (2, ("q",), b"\x01", out)
+    for obj, name in ((out, "x"), (out, "y"), (out, "extra"),
+                      (rec, "step"), (rec, "proof"), (rec, "output")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    assert pickle.loads(pickle.dumps(out)) == out
+    for x, y in ((2, 0), (0, True), (-1, 0), (1, 1.0), (0, "1"), (None, 0)):
+        with pytest.raises(ValueError):
+            VerifierOutput(x, y)
+
+
+def test_transcript_json_bytes_are_pinned():
+    stream = UpdateStream([("q",), ("f", 2, 1), ("e", "-", 0, 3), ("c", 4, "B")])
+    transcript = run_protocol(ParityVerifier, random_prover(seed=2, junk_rate=0.5), 0, stream)
+    assert transcript.to_json() == (
+        '{"schema": 1, "steps": ['
+        '{"proof_hex": null, "step": 0, "update": null, "x": 0, "y": 0}, '
+        '{"proof_hex": "", "step": 1, "update": "q", "x": 1, "y": 0}, '
+        '{"proof_hex": "e3d5", "step": 2, "update": "f 3 1", "x": 0, "y": -1}, '
+        '{"proof_hex": "6740", "step": 3, "update": "e - 1 4", "x": 1, "y": -1}, '
+        '{"proof_hex": "", "step": 4, "update": "c 5 B", "x": 0, "y": 0}]}'
+    )
 
 
 def test_probe_meter_budget_per_burst():
