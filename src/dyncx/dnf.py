@@ -72,8 +72,25 @@ def clause(*lits: int) -> Clause:
     return Clause(tuple((abs(l) - 1, l > 0) for l in lits))
 
 
+def check_clause(literals, num_vars: int, width: int | None):
+    """The one per-clause rule, for `parse_dnf` and `DnfInstance.validate`:
+    at most `width` literals (when given), over range(num_vars), no
+    variable twice."""
+    if width is not None and len(literals) > width:
+        raise MalformedClause(f"{len(literals)} literals, declared width is {width}")
+    seen = set()
+    for var, _ in literals:
+        if not 0 <= var < num_vars:
+            raise VarOutOfRange(f"variable {var + 1} out of range 1..{num_vars}")
+        if var in seen:
+            raise MalformedClause(f"variable {var + 1} appears twice")
+        seen.add(var)
+
+
 @dataclass
 class DnfInstance:
+    """A formula and its current assignment, checked when built."""
+
     num_vars: int
     clauses: list[Clause]
     assignment: list[int]
@@ -82,22 +99,21 @@ class DnfInstance:
     def validate(self):
         if len(self.assignment) != self.num_vars:
             raise ParseError("assignment length != num_vars")
+        n, w = self.num_vars, self.width
         for j, c in enumerate(self.clauses):
-            seen = set()
-            for var, _ in c.literals:
-                if not 0 <= var < self.num_vars:
-                    raise VarOutOfRange(f"clause {j}: variable {var} out of range")
-                if var in seen:
-                    raise MalformedClause(f"clause {j}: duplicate variable {var}")
-                seen.add(var)
-        if self.width is not None:
-            for j, c in enumerate(self.clauses):
-                if c.width > self.width:
-                    raise MalformedClause(f"clause {j} wider than declared bound")
+            try:
+                check_clause(c.literals, n, w)
+            except ParseError as exc:
+                raise type(exc)(f"clause {j}: {exc}") from None
         return self
 
+    __post_init__ = validate
+
     def copy(self) -> "DnfInstance":
-        return DnfInstance(self.num_vars, self.clauses, list(self.assignment), self.width)
+        dup = object.__new__(DnfInstance)  # a checked instance's copy: no check
+        dup.num_vars, dup.clauses, dup.width = self.num_vars, self.clauses, self.width
+        dup.assignment = list(self.assignment)
+        return dup
 
     def apply(self, token):
         if token[0] == "f":
@@ -148,7 +164,6 @@ class ClauseCounters:
     """
 
     def __init__(self, inst: DnfInstance):
-        inst.validate()
         self._fill(inst.num_vars, inst.assignment, len(inst.clauses),
                    enumerate(c.literals for c in inst.clauses))
 
@@ -239,7 +254,7 @@ class NaiveAlgorithm:
     """Rescan-everything baseline; exists for benchmarks and cross-checks."""
 
     def __init__(self, inst: DnfInstance):
-        self.inst = inst.validate().copy()
+        self.inst = inst.copy()
         self.meter = ProbeMeter()
 
     def answer(self) -> int:
@@ -268,14 +283,11 @@ class DnfVerifier:
     max_proof_len = 4
 
     def __init__(self, inst: DnfInstance):
-        inst.validate()
         self.clauses = inst.clauses
         self.num_vars = inst.num_vars
         self.assignment = list(inst.assignment)
         self.meter = ProbeMeter()
-        self._x0 = eval_bruteforce(
-            DnfInstance(inst.num_vars, inst.clauses, self.assignment)
-        )
+        self._x0 = eval_bruteforce(inst)
 
     def initial_output(self) -> VerifierOutput:
         return VerifierOutput(self._x0, 0)
@@ -346,20 +358,21 @@ def honest_dnf_prover():
 
 @dataclass
 class FirstDnfInstance:
-    """A DNF instance plus a total clause order.
+    """A checked DNF instance plus a total clause order.
 
     `order` lists clause ids from first to last; order[0] is the most
-    preferred clause.
+    preferred clause. Only the order is checked here.
     """
 
     base: DnfInstance
     order: list[int]
 
     def validate(self):
-        self.base.validate()
         if sorted(self.order) != list(range(len(self.base.clauses))):
             raise ParseError("order must be a permutation of clause ids")
         return self
+
+    __post_init__ = validate
 
 
 def first_satisfied_bruteforce(finst: FirstDnfInstance) -> int | None:
@@ -392,7 +405,6 @@ class AugmentedFirstDnf:
 
 
 def augment_with_search_vars(finst: FirstDnfInstance) -> AugmentedFirstDnf:
-    finst.validate()
     base = finst.base
     m = len(base.clauses)
     rounds = max(0, math.ceil(math.log2(m))) if m > 1 else 0
@@ -412,7 +424,7 @@ def augment_with_search_vars(finst: FirstDnfInstance) -> AugmentedFirstDnf:
         list(base.assignment) + [1] * (2 * rounds),
         width,
     )
-    return AugmentedFirstDnf(inst.validate(), n, rounds, rank_to_original)
+    return AugmentedFirstDnf(inst, n, rounds, rank_to_original)
 
 
 def first_dnf_query(aug: AugmentedFirstDnf, counters: ClauseCounters) -> int | None:
@@ -463,10 +475,10 @@ def first_dnf_query(aug: AugmentedFirstDnf, counters: ClauseCounters) -> int | N
 def parse_dnf(text: str):
     """Returns DnfInstance, or FirstDnfInstance when an order line is present.
 
-    Each line is checked as it is read, against the header counts, for
-    everything `DnfInstance.validate` and `FirstDnfInstance.validate` check
-    (literal range, repeated variables, declared width, assignment length,
-    order a permutation), so an error names its line.
+    Each line is checked as it is read, against the header counts, so an
+    error names its line: clause lines by `check_clause` (the rule
+    `DnfInstance.validate` applies), the assignment's bits and length, and
+    the order a permutation. The instance checks itself again when built.
     """
     clauses: list[Clause] = []
     assignment = None
@@ -493,16 +505,11 @@ def parse_dnf(text: str):
             lits = [int(tok) for tok in parts]
             if lits.pop() != 0:
                 raise ParseError("clause must end with 0")
-            variables = {abs(lit) for lit in lits}
-            if 0 in variables:
+            if 0 in lits:
                 raise ParseError("stray 0 inside clause")
-            if len(lits) > w:
-                raise MalformedClause(f"{len(lits)} literals, declared width is {w}")
-            if len(variables) != len(lits):
-                raise MalformedClause("a variable appears twice")
-            if lits and max(variables) > n:
-                raise VarOutOfRange(f"variable {max(variables)} out of range 1..{n}")
-            clauses.append(clause(*lits))
+            c = clause(*lits)
+            check_clause(c.literals, n, w)
+            clauses.append(c)
 
     read_lines(text, line, ("dnf", 3), comment="c", on_header=start)
     if len(clauses) != m:

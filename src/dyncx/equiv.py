@@ -58,6 +58,8 @@ class AllWhiteInstance:
                     raise ParseError(f"R node {r} exceeds declared width")
         return self
 
+    __post_init__ = validate
+
     def r_neighbors(self) -> list[list[int]]:
         nbrs = [[] for _ in range(self.num_r)]
         for l, r in self.edges:
@@ -96,7 +98,7 @@ def transpose(num_scanned: int, num_colored: int, edges, colors) -> AllWhiteInst
         num_r=num_scanned,
         edges=[(c, s) for s, c in edges],
         colors=list(colors),
-    ).validate()
+    )
 
 
 class AllWhiteCounters:
@@ -113,7 +115,6 @@ class AllWhiteCounters:
     """
 
     def __init__(self, inst: AllWhiteInstance):
-        inst.validate()
         masks = [0] * inst.num_l
         for l, r in inst.edges:
             masks[l] |= 1 << r
@@ -205,6 +206,8 @@ class SparseOvInstance:
                 raise ParseError(f"column {j} index out of range")
         return self
 
+    __post_init__ = validate
+
     def apply(self, token):
         if token[0] == "u":
             _, i, bit = token
@@ -251,6 +254,8 @@ class HypergraphInstance:
             raise ParseError("S contains an out-of-range node")
         return self
 
+    __post_init__ = validate
+
     def apply(self, token):
         if token[0] == "s":
             _, sign, v = token
@@ -289,7 +294,6 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
     phi(x_i)=1 colors node 2i white and 2i+1 black; F(phi)=1 iff some R node
     is all-white. With prune=True, literal nodes used by no clause are
     dropped and the rest renumbered in order."""
-    inst.validate()
     edges = []
     for j, c in enumerate(inst.clauses):
         for var, positive in c.literals:
@@ -310,7 +314,7 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
         edges=[(remap[l], r) for l, r in edges],
         colors=[colors[old] for old in keep],
         width=inst.width,
-    ).validate()
+    )
 
     def translate(token):
         if token[0] == "q":
@@ -332,12 +336,11 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
 def aw_to_indep(inst: AllWhiteInstance):
     """V = L, one hyperedge per R node's neighborhood, S = white nodes.
     S is independent exactly when no R node is all-white (negation)."""
-    inst.validate()
     hg = HypergraphInstance(
         num_nodes=inst.num_l,
         hyperedges=[tuple(sorted(n)) for n in inst.r_neighbors()],
         s={l for l in range(inst.num_l) if inst.colors[l]},
-    ).validate()
+    )
 
     def translate(token):
         if token[0] == "q":
@@ -353,13 +356,12 @@ def aw_to_indep(inst: AllWhiteInstance):
 def indep_to_dnf(inst: HypergraphInstance):
     """Positive clauses: C_j holds x_i iff node i is in hyperedge j;
     phi(x_i)=1 iff i in S. F(phi)=1 exactly when S is NOT independent."""
-    inst.validate()
     dnf = DnfInstance(
         num_vars=inst.num_nodes,
         clauses=[Clause(tuple((v, True) for v in e)) for e in inst.hyperedges],
         assignment=[1 if v in inst.s else 0 for v in range(inst.num_nodes)],
         width=max((len(e) for e in inst.hyperedges), default=0),
-    ).validate()
+    )
 
     def translate(token):
         if token[0] == "q":
@@ -375,13 +377,12 @@ def indep_to_dnf(inst: HypergraphInstance):
 def aw_to_ov(inst: AllWhiteInstance):
     """Columns are the R-side neighborhoods; u_i = 1 iff L node i is black.
     Some u.v_j = 0 exactly when some R node is all-white (same bit)."""
-    inst.validate()
     ov = SparseOvInstance(
         n=inst.num_l,
         m=inst.num_r,
         columns=[sorted(n) for n in inst.r_neighbors()],
         u=[0 if inst.colors[l] else 1 for l in range(inst.num_l)],
-    ).validate()
+    )
 
     def translate(token):
         if token[0] == "q":
@@ -395,13 +396,12 @@ def aw_to_ov(inst: AllWhiteInstance):
 
 
 def ov_to_aw(inst: SparseOvInstance):
-    inst.validate()
     aw = AllWhiteInstance(
         num_l=inst.n,
         num_r=inst.m,
         edges=sorted((i, j) for j, col in enumerate(inst.columns) for i in col),
         colors=[inst.u[i] == 0 for i in range(inst.n)],
-    ).validate()
+    )
 
     def translate(token):
         if token[0] == "q":
@@ -429,7 +429,6 @@ def hypergraph_lift(inst: HypergraphInstance, k: int, budget: int | None = None)
     Returns (num_nodes, edges, subset_index) where subset_index maps a
     sorted k-tuple of H nodes to its G node id.
     """
-    inst.validate()
     if k < 1:
         raise ParseError("k must be >= 1")
     for e in inst.hyperedges:
@@ -494,7 +493,7 @@ def parse_aw(text: str) -> AllWhiteInstance:
             raise ParseError("unknown line")
 
     num_l, num_r = read_lines(text, line, ("aw", 2), on_header=start)
-    return AllWhiteInstance(num_l, num_r, edges, colors).validate()
+    return AllWhiteInstance(num_l, num_r, edges, colors)
 
 
 def format_aw(inst: AllWhiteInstance) -> str:
@@ -527,7 +526,7 @@ def parse_ov(text: str) -> SparseOvInstance:
         raise ParseError(f"header says {m} columns, file has {len(columns)}")
     if u is None:
         u = [0] * n
-    return SparseOvInstance(n, m, columns, u).validate()
+    return SparseOvInstance(n, m, columns, u)
 
 
 def format_ov(inst: SparseOvInstance) -> str:
@@ -551,7 +550,7 @@ def parse_hypergraph(text: str) -> HypergraphInstance:
     n, m = read_lines(text, line, ("hg", 2))
     if len(hyperedges) != m:
         raise ParseError(f"header says {m} hyperedges, file has {len(hyperedges)}")
-    return HypergraphInstance(n, hyperedges, s).validate()
+    return HypergraphInstance(n, hyperedges, s)
 
 
 def format_hypergraph(inst: HypergraphInstance) -> str:

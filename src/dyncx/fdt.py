@@ -12,7 +12,9 @@ direction of the machinery compiles a clause-checking verifier into trees
 (`compile_dnf_verifier_to_trees`) so a reward-maximizing proof can be read
 off an fdt oracle (`completeness_harness`). `fdt_to_fdnf` emits every path;
 the oracle (`FdtOracle`) keeps only the paths ranked up to the first
-read-free one, since no later path can be the first satisfied.
+read-free one, since no later path can be the first satisfied. An
+`FdtInstance` checks its trees (`DecisionTree.validate`, one walk each)
+when it is built, and nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -74,61 +76,51 @@ class DecisionTree:
     nodes: list
 
     def validate(self, memory_len: int | None = None) -> "DecisionTree":
+        """One walk from the root: every node is reached once, labels and
+        written bits are bits, indices lie in range(memory_len) when given,
+        and no path reads an index twice or after writing it."""
         nodes = self.nodes
-        if not nodes:
-            raise ParseError("tree has no nodes")
         size = len(nodes)
-        referenced: set[int] = set()
-        for k, node in enumerate(nodes):
+        if not size:
+            raise ParseError("tree has no nodes")
+        reached = bytearray(size)
+        reached[0] = 1
+        stack = [(0, (), ())]
+        while stack:
+            at, read_seen, written = stack.pop()
+            node = nodes[at]
             if isinstance(node, End):
                 if node.x not in (0, 1):
-                    raise ParseError(f"node {k}: x label must be a bit")
+                    raise ParseError(f"node {at}: x label must be a bit")
                 continue
             if isinstance(node, Read):
+                index = node.index
+                if index in read_seen:
+                    raise NotNormalized(f"variable {index} read twice on a path")
+                if index in written:
+                    raise NotNormalized(f"variable {index} read after a write on a path")
+                read_seen += (index,)
                 children = (node.left, node.right)
             elif isinstance(node, Write):
                 if node.bit not in (0, 1):
-                    raise ParseError(f"node {k}: write bit must be 0/1")
+                    raise ParseError(f"node {at}: write bit must be 0/1")
+                index = node.index
+                written += (index,)
                 children = (node.child,)
             else:
-                raise ParseError(f"node {k}: unknown node kind {node!r}")
-            if memory_len is not None and not 0 <= node.index < memory_len:
-                raise IndexOutOfRange(f"node {k}: index {node.index}")
+                raise ParseError(f"node {at}: unknown node kind {node!r}")
+            if memory_len is not None and not 0 <= index < memory_len:
+                raise IndexOutOfRange(f"node {at}: index {index}")
             for c in children:
                 if not 0 <= c < size:
-                    raise ParseError(f"node {k}: child {c} out of range")
-                if c in referenced or c == 0:
+                    raise ParseError(f"node {at}: child {c} out of range")
+                if reached[c]:
                     raise ParseError(f"node {c} referenced twice or is the root")
-                referenced.add(c)
-        if len(referenced) != size - 1:
+                reached[c] = 1
+                stack.append((c, read_seen, written))
+        if 0 in reached:
             raise ParseError("unreachable nodes present")
-        self._check_normal_form()
         return self
-
-    def _check_normal_form(self):
-        # DFS carrying the indices already read and already written on the
-        # path; nodes referenced once each can still form a cycle off the root
-        nodes = self.nodes
-        stack = [(0, (), ())]
-        reached = 0
-        while stack:
-            at, read_seen, written = stack.pop()
-            reached += 1
-            node = nodes[at]
-            if isinstance(node, Read):
-                if node.index in read_seen:
-                    raise NotNormalized(f"variable {node.index} read twice on a path")
-                if node.index in written:
-                    raise NotNormalized(
-                        f"variable {node.index} read after a write on a path"
-                    )
-                nxt = read_seen + (node.index,)
-                stack.append((node.left, nxt, written))
-                stack.append((node.right, nxt, written))
-            elif isinstance(node, Write):
-                stack.append((node.child, read_seen, written + (node.index,)))
-        if reached != len(nodes):
-            raise ParseError("unreachable nodes present")
 
     def depth(self) -> int:
         best = 0
@@ -155,6 +147,8 @@ class FdtInstance:
         for t in self.trees:
             t.validate(len(self.memory))
         return self
+
+    __post_init__ = validate
 
 
 def execute_tree(tree: DecisionTree, memory: list[int], meter: ProbeMeter | None = None):
@@ -249,7 +243,6 @@ class FdnfImage:
 def fdt_to_fdnf(inst: FdtInstance) -> FdnfImage:
     """One clause per root-to-leaf path (`root_to_leaf_paths`). Clause order
     is descending leaf rank, ties by (tree index, path discovery order)."""
-    inst.validate()
     clauses: list[Clause] = []
     provenance: list[tuple[int, int, int]] = []  # (tree, leaf, rank)
     for t_idx, tree in enumerate(inst.trees):
@@ -266,7 +259,7 @@ def fdt_to_fdnf(inst: FdtInstance) -> FdnfImage:
         range(len(clauses)),
         key=lambda j: (-provenance[j][2], provenance[j][0], j),
     )
-    fdnf = FirstDnfInstance(base, order).validate()
+    fdnf = FirstDnfInstance(base, order)
     return FdnfImage(
         fdnf,
         [p[0] for p in provenance],
@@ -288,10 +281,9 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     (x=0, y=-1, rank -1). The final tree is a lone end node (x=0, y=0,
     rank 0): conceding earns more than lying.
 
-    The trees are in normal form by construction from the validated
-    instance (no clause repeats a variable); `FdtOracle` validates them
-    once, against the memory, when it is built."""
-    inst.validate()
+    The trees are in normal form by construction, since the instance was
+    checked when it was built (no clause repeats a variable); the
+    `FdtInstance` they go into checks them once, against its memory."""
     budget = env_budget() if budget is None else budget
     if len(inst.clauses) > budget:
         raise BudgetExceeded(f"{len(inst.clauses)} clauses exceeds budget {budget}")
@@ -331,10 +323,10 @@ class FdtOracle:
     clause's accepting path and the trailing null-proof tree. An update
     costs the bit's occurrences over the kept paths, an answer O(log
     paths) amortized. The mirrored memory is the counters' assignment.
+    The trees were checked when their `FdtInstance` was built.
     """
 
     def __init__(self, inst: FdtInstance):
-        inst.validate()
         self.updates = 0
         trees = inst.trees
         # the cut: the top-ranked read-free tree, lowest index on ties,
@@ -390,7 +382,8 @@ class FdtOracle:
         return self.path_tree[pos]
 
     def memory_view(self) -> list[int]:
-        return list(self.paths.assignment)
+        """The mirrored memory itself, not a copy: read it, never write it."""
+        return self.paths.assignment
 
 
 def completeness_harness(
@@ -509,7 +502,7 @@ def parse_trees(text: str) -> FdtInstance:
     close()
     if memory is None:
         raise ParseError("missing memory line")
-    return FdtInstance(memory, trees).validate()
+    return FdtInstance(memory, trees)
 
 
 def format_trees(inst: FdtInstance) -> str:

@@ -59,6 +59,8 @@ class CapacitatedDigraph:
                 raise ParseError(f"arc ({u},{v}) capacity {cap} below 1")
         return self
 
+    __post_init__ = validate
+
     def apply(self, token):
         if token[0] == "e" and token[1] == "+":
             _, _, u, v, cap = token
@@ -89,6 +91,8 @@ class NodeSubgraphInstance:
         if len(self.on) != self.num_nodes:
             raise ParseError("on/off vector length mismatch")
         return self
+
+    __post_init__ = validate
 
     def apply(self, token):
         if token[0] in ("on", "off"):
@@ -165,7 +169,6 @@ def build_maxflow(aw: AllWhiteInstance):
     node can push its unit through some black neighbor, so value equals
     |scanned| iff the source answer is NO.
     """
-    aw.validate()
     s, t = 0, 1
     scan0, col0 = 2, 2 + aw.num_r
     big = max(aw.num_r, 1)
@@ -177,7 +180,7 @@ def build_maxflow(aw: AllWhiteInstance):
     for l, white in enumerate(aw.colors):
         if not white:
             caps[(col0 + l, t)] = big
-    target = CapacitatedDigraph(col0 + aw.num_l, caps, s, t).validate()
+    target = CapacitatedDigraph(col0 + aw.num_l, caps, s, t)
 
     def on_flip(node, white):
         if white:
@@ -198,13 +201,12 @@ def build_subgraph_connectivity(aw: AllWhiteInstance):
     A scanned node with only white (off) neighbors is isolated in the
     induced subgraph; otherwise everything hangs off s through a black.
     """
-    aw.validate()
     scan0 = aw.num_l
     s = aw.num_l + aw.num_r
     edges = [(l, scan0 + r) for l, r in aw.edges]
     edges += [(l, s) for l in range(aw.num_l)]
     on = [not white for white in aw.colors] + [True] * (aw.num_r + 1)
-    target = NodeSubgraphInstance(s + 1, edges, on).validate()
+    target = NodeSubgraphInstance(s + 1, edges, on)
 
     def on_flip(node, white):
         return ("off", node) if white else ("on", node)
@@ -224,7 +226,6 @@ def build_diameter(aw: AllWhiteInstance):
     scanned node sees no black. Disconnection (no blacks at all) reads
     as the >=4 branch.
     """
-    aw.validate()
     s, t, w = 0, 1, 2
     scan0, col0 = 3, 3 + aw.num_r
     edges: set[tuple[int, int]] = {(s, w)}
@@ -264,7 +265,6 @@ def build_st_reach(aw: AllWhiteInstance):
     Every scanned node is reachable from s iff each has a black
     neighbor to hop through.
     """
-    aw.validate()
     s, col0, scan0, arcs = _reach_digraph(aw)
     target = DigraphInstance(scan0 + aw.num_r, arcs)
     terminals = [scan0 + r for r in range(aw.num_r)]
@@ -287,7 +287,6 @@ def build_count_reach(aw: AllWhiteInstance):
     exactly on NO instances. The decoder reads #black back off s's
     out-degree, keeping it a function of the target alone.
     """
-    aw.validate()
     s, _, _, arcs = _reach_digraph(aw)
     target = DigraphInstance(1 + aw.num_l + aw.num_r, arcs)
     num_scanned = aw.num_r
@@ -312,7 +311,6 @@ def build_count_scc(aw: AllWhiteInstance):
     iff the source answer is NO. One flip toggles one s<->node pair via
     a single paired-arc update.
     """
-    aw.validate()
     s = 0
     col0, scan0 = 1, 1 + aw.num_l
     arcs = {(col0 + l, scan0 + r) for l, r in aw.edges}
@@ -402,6 +400,8 @@ class CnfInstance:
                     raise ParseError(f"clause {i + 1}: literal {lit} out of range")
         return self
 
+    __post_init__ = validate
+
 
 # a line whose first field is `%`, as in the trailer SATLIB files end with
 _DIMACS_END = re.compile(r"^[^\S\n]*%(?![^\s#])", re.M)
@@ -430,7 +430,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ParseError("unterminated clause")
     if len(clauses) != expected:
         raise ParseError(f"header promised {expected} clauses, found {len(clauses)}")
-    return CnfInstance(num_vars, clauses).validate()
+    return CnfInstance(num_vars, clauses)
 
 
 def format_dimacs(inst: CnfInstance) -> str:
@@ -464,7 +464,6 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     `aw_solver` still gets the paper's `AllWhiteInstance`, its edge list
     read off the masks.
     """
-    cnf.validate()
     budget = env_budget() if budget is None else budget
     n = cnf.num_vars + (cnf.num_vars % 2)
     half = n // 2

@@ -255,6 +255,39 @@ def test_complete_demo_validates_each_tree_once(files, capsys, monkeypatch):
     assert len(seen) == len(set(seen)) == payload["counters"]["trees"]
 
 
+def count_checks(monkeypatch, cls) -> list:
+    """Counts runs of `cls.validate`, called by name or on construction."""
+    seen = []
+    validate = cls.validate
+
+    def counting(inst, *args, **kwargs):
+        seen.append(id(inst))
+        return validate(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "validate", counting)
+    monkeypatch.setattr(cls, "__post_init__", counting, raising=False)
+    return seen
+
+
+def test_an_instance_is_checked_once_when_it_is_built(files, capsys, monkeypatch):
+    from dyncx import dnf, equiv, fdt
+    from dyncx.reductions import CnfInstance
+
+    inst = dnf.parse_dnf(DNF_TEXT)
+    seen = count_checks(monkeypatch, dnf.DnfInstance)
+    dnf.ClauseCounters(inst)
+    dnf.NaiveAlgorithm(inst)
+    dnf.DnfVerifier(inst)
+    equiv.dnf_to_aw(inst)
+    trees = fdt.compile_dnf_verifier_to_trees(inst)
+    fdt.completeness_harness(trees, inst.assignment, [("f", 0, 1), ("q",)])
+    assert seen == []
+
+    seen = count_checks(monkeypatch, CnfInstance)
+    rc, _ = run_json(capsys, ["sat", "--in", files["sat.cnf"]])
+    assert rc == 0 and len(seen) == 1
+
+
 def test_bench_counters_win_at_the_largest_size(capsys):
     rc, payload = run_json(capsys, ["bench", "--sizes", "4,32", "--steps", "40"])
     assert rc == 0

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncx.connectivity import DynamicGraph, format_graph, parse_graph
-from dyncx.dnf import Clause, DnfInstance, FirstDnfInstance, clause, format_dnf, parse_dnf
+from dyncx.dnf import (
+    Clause,
+    DnfInstance,
+    FirstDnfInstance,
+    VarOutOfRange,
+    clause,
+    format_dnf,
+    parse_dnf,
+)
 from dyncx.equiv import (
     AllWhiteInstance,
     HypergraphInstance,
@@ -16,9 +24,24 @@ from dyncx.equiv import (
     parse_hypergraph,
     parse_ov,
 )
-from dyncx.fdt import DecisionTree, End, FdtInstance, Read, Write, format_trees, parse_trees
+from dyncx.fdt import (
+    DecisionTree,
+    End,
+    FdtInstance,
+    NotNormalized,
+    Read,
+    Write,
+    format_trees,
+    parse_trees,
+)
 from dyncx.framework import DyncxError, ParseError, UpdateStream
-from dyncx.reductions import CnfInstance, format_dimacs, parse_dimacs
+from dyncx.reductions import (
+    CapacitatedDigraph,
+    CnfInstance,
+    NodeSubgraphInstance,
+    format_dimacs,
+    parse_dimacs,
+)
 
 bits = st.integers(0, 1)
 
@@ -214,7 +237,8 @@ def test_id_checks_name_the_line(parse, text, lineno):
 @st.composite
 def dnf_files(draw):
     """A `p dnf` file that may break any rule `validate` checks, with the
-    instance its lines spell out."""
+    constructor arguments its lines spell out: the `DnfInstance` ones and
+    the order, or None."""
     n, w = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     literal = st.integers(-n - 1, n + 1).filter(bool)
     clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=4))
@@ -228,19 +252,41 @@ def dnf_files(draw):
         lines.append(" ".join(["a", *map(str, assignment)]))
     if order is not None:
         lines.append(" ".join(["o", *(str(j + 1) for j in order)]))
-    inst = DnfInstance(n, [clause(*c) for c in clauses],
-                       [0] * n if assignment is None else assignment, w)
-    return "\n".join(lines) + "\n", inst if order is None else FirstDnfInstance(inst, order)
+    args = (n, [clause(*c) for c in clauses],
+            [0] * n if assignment is None else assignment, w)
+    return "\n".join(lines) + "\n", args, order
 
 
 @settings(max_examples=300, deadline=None)
 @given(dnf_files())
 def test_parse_dnf_rejects_exactly_what_validate_rejects(case):
-    text, inst = case
+    text, args, order = case
     try:
-        inst.validate()
+        inst = DnfInstance(*args)
+        if order is not None:
+            inst = FirstDnfInstance(inst, order)
     except ParseError:
         with pytest.raises(ParseError, match=r"^line \d+: "):
             parse_dnf(text)
     else:
         assert parse_dnf(text) == inst
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: DnfInstance(2, [clause(1, 3)], [0, 0], 2), VarOutOfRange),
+    (lambda: FirstDnfInstance(DnfInstance(1, [clause(1)], [0], 1), [1]), ParseError),
+    (lambda: AllWhiteInstance(1, 1, [(0, 0), (0, 0)], [True]), ParseError),
+    (lambda: SparseOvInstance(2, 1, [[1, 0]], [0, 0]), ParseError),
+    (lambda: HypergraphInstance(2, [(0, 2)]), ParseError),
+    (lambda: FdtInstance([0], [DecisionTree(
+        [Read(0, 1, 2), End(0, 0, 0), Read(0, 3, 4), End(0, 0, 0), End(1, 1, 1)])]),
+     NotNormalized),
+    (lambda: CnfInstance(2, [(1, -3)]), ParseError),
+    (lambda: CapacitatedDigraph(2, {(0, 1): 1}, 1, 1), ParseError),
+    (lambda: NodeSubgraphInstance(2, [(0, 1)], [True]), ParseError),
+], ids=["dnf", "first-dnf", "aw", "ov", "hypergraph", "fdt", "cnf", "maxflow",
+        "subgraph"])
+def test_a_malformed_instance_cannot_be_built(build, error):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
