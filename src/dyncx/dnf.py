@@ -109,11 +109,17 @@ class DnfInstance:
 
     __post_init__ = validate
 
+    @staticmethod
+    def _unchecked(num_vars, clauses, assignment, width) -> "DnfInstance":
+        """An instance from parts already checked, without a second check."""
+        inst = object.__new__(DnfInstance)
+        inst.num_vars, inst.clauses = num_vars, clauses
+        inst.assignment, inst.width = assignment, width
+        return inst
+
     def copy(self) -> "DnfInstance":
-        dup = object.__new__(DnfInstance)  # a checked instance's copy: no check
-        dup.num_vars, dup.clauses, dup.width = self.num_vars, self.clauses, self.width
-        dup.assignment = list(self.assignment)
-        return dup
+        return DnfInstance._unchecked(
+            self.num_vars, self.clauses, list(self.assignment), self.width)
 
     def apply(self, token):
         if token[0] == "f":
@@ -182,6 +188,7 @@ class ClauseCounters:
     def _fill(self, num_vars, assignment, m, placed):
         self.num_vars = num_vars
         self.assignment = bits = list(assignment)
+        truth = list(map(bool, bits))
         # occurrences of each variable, flattened: 2 * position + positive
         self.occ = occ = [array("i") for _ in range(num_vars)]
         self.unsat = unsat = [0] * m
@@ -189,9 +196,10 @@ class ClauseCounters:
         self._heap = heap = []
         for j, literals in placed:
             bad = 0
+            code = 2 * j
             for var, positive in literals:
-                occ[var].append(2 * j + positive)
-                if bool(bits[var]) != positive:
+                occ[var].append(code + positive)
+                if truth[var] != positive:
                     bad += 1
             if bad:
                 unsat[j] = bad
@@ -223,7 +231,7 @@ class ClauseCounters:
             return self.answer()
         self.assignment[var] = bit
         occ = self.occ[var]
-        self.meter.charge(len(occ))
+        self.meter.count += len(occ)
         truthy = 1 if bit else 0
         unsat, queued = self.unsat, self._queued
         for code in occ:
@@ -332,22 +340,28 @@ def honest_dnf_prover():
     and the maximizing prover breaks ties toward the earliest candidate, so
     its choice is the first satisfied clause, else BOTTOM. This prover keeps
     that clause at hand in a `ClauseCounters` mirror of the verifier's
-    assignment, built on the first call and rebuilt whenever it is handed a
-    different verifier, at O(occurrences + log m) per step.
+    assignment, at O(occurrences + log m) per step. Building the mirror is
+    preprocessing: `prover.prepare(verifier)` builds it, and `run_protocol`
+    calls that before step 1. A step handed any other verifier, as when a
+    wrapper hides `prepare`, builds the mirror there first.
     """
     mirrored = counters = None
 
-    def prover(verifier, token) -> bytes:
+    def prepare(verifier):
         nonlocal mirrored, counters
+        clauses = verifier.clauses
+        mirrored, counters = verifier, ClauseCounters.from_literals(
+            verifier.num_vars, verifier.assignment, len(clauses),
+            enumerate(c.literals for c in clauses))
+
+    def prover(verifier, token) -> bytes:
         if verifier is not mirrored:
-            clauses = verifier.clauses
-            mirrored, counters = verifier, ClauseCounters.from_literals(
-                verifier.num_vars, verifier.assignment, len(clauses),
-                enumerate(c.literals for c in clauses))
+            prepare(verifier)
         counters.apply(token)
         j = counters.first()
         return BOTTOM if j is None else encode_index(j)
 
+    prover.prepare = prepare
     return prover
 
 
@@ -478,7 +492,8 @@ def parse_dnf(text: str):
     Each line is checked as it is read, against the header counts, so an
     error names its line: clause lines by `check_clause` (the rule
     `DnfInstance.validate` applies), the assignment's bits and length, and
-    the order a permutation. The instance checks itself again when built.
+    the order a permutation. With every line checked, the instance is built
+    without a second check.
     """
     clauses: list[Clause] = []
     assignment = None
@@ -516,7 +531,7 @@ def parse_dnf(text: str):
         raise ParseError(f"header says {m} clauses, file has {len(clauses)}")
     if assignment is None:
         assignment = [0] * n
-    inst = DnfInstance(n, clauses, assignment, w)
+    inst = DnfInstance._unchecked(n, clauses, assignment, w)
     return inst if order is None else FirstDnfInstance(inst, order)
 
 

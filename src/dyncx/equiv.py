@@ -60,6 +60,12 @@ class AllWhiteInstance:
 
     __post_init__ = validate
 
+    def copy(self) -> "AllWhiteInstance":
+        dup = object.__new__(AllWhiteInstance)  # a checked instance's copy: no check
+        dup.num_l, dup.num_r, dup.width = self.num_l, self.num_r, self.width
+        dup.edges, dup.colors = list(self.edges), list(self.colors)
+        return dup
+
     def r_neighbors(self) -> list[list[int]]:
         nbrs = [[] for _ in range(self.num_r)]
         for l, r in self.edges:

@@ -371,8 +371,13 @@ def run_protocol(verifier_factory, prover, initial_instance, stream) -> ProofTra
 
     The prover is asked for a proof *after* seeing the pending update but
     before the verifier consumes it, matching the proof-after-update timing.
+    A prover may carry preprocessing as an optional `prover.prepare(verifier)`;
+    it is called once, with the new verifier, before the first token is read.
     """
     verifier = verifier_factory(initial_instance)
+    prepare = getattr(prover, "prepare", None)
+    if prepare is not None:
+        prepare(verifier)
     transcript = ProofTranscript()
     records = transcript.records
     records.append(TranscriptRecord(0, None, None, verifier.initial_output()))

@@ -368,7 +368,7 @@ def check_reduction(build, aw: AllWhiteInstance, stream):
     all-white brute force, the target answer from the decoder; agreement
     everywhere is the whole point of the catalog.
     """
-    aw = AllWhiteInstance(aw.num_l, aw.num_r, list(aw.edges), list(aw.colors), aw.width)
+    aw = aw.copy()
     target, translate, decode = build(aw)
     records = [ReductionStep(0, None, aw_bruteforce(aw), decode(target))]
     for i, token in enumerate(stream, 1):

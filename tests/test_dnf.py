@@ -1,10 +1,13 @@
 import itertools
 import math
 import random
+from array import array
+from heapq import heapify
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncx import dnf
 from dyncx.dnf import (
     AugmentedFirstDnf,
     Clause,
@@ -29,6 +32,7 @@ from dyncx.framework import (
     BOTTOM,
     Episode,
     ParseError,
+    ProbeMeter,
     UndecodableUpdate,
     UpdateStream,
     constant_prover,
@@ -161,6 +165,50 @@ def test_from_literals_places_clauses_in_any_order():
     assert c.occ == ref.occ
 
 
+def reference_counters(num_vars, assignment, m, placed) -> ClauseCounters:
+    """`ClauseCounters` filled literal by literal, `bool()` on each read:
+    the reference for `_fill`."""
+    c = ClauseCounters.__new__(ClauseCounters)
+    c.num_vars, c.assignment = num_vars, list(assignment)
+    c.occ = [array("i") for _ in range(num_vars)]
+    c.unsat, c._queued, c._heap = [0] * m, bytearray(m), []
+    for j, literals in placed:
+        for var, positive in literals:
+            c.occ[var].append(2 * j + positive)
+            if bool(c.assignment[var]) != positive:
+                c.unsat[j] += 1
+        if c.unsat[j] == 0:
+            c._heap.append(j)
+            c._queued[j] = 1
+    heapify(c._heap)
+    c.satisfied = len(c._heap)
+    c.meter = ProbeMeter()
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fill_matches_the_literal_by_literal_reference(data):
+    inst = dnf_instances(data)
+    n, m = inst.num_vars, len(inst.clauses)
+    placed = data.draw(st.permutations(list(enumerate(c.literals for c in inst.clauses))))
+    got = ClauseCounters.from_literals(n, inst.assignment, m, placed)
+    ref = reference_counters(n, inst.assignment, m, placed)
+    # "same" flips a variable to the value it already holds
+    moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0, 1, "same"])),
+                               max_size=16))
+
+    def state(c):
+        return c.occ, c.unsat, c.satisfied, c.first(), c.meter.count
+
+    assert state(got) == state(ref)
+    for var, bit in moves:
+        if bit == "same":
+            bit = ref.assignment[var]
+        assert got.flip(var, bit) == ref.flip(var, bit)
+        assert state(got) == state(ref)
+
+
 def test_naive_and_counters_match_over_streams(rng):
     for _ in range(50):
         inst = rand_dnf(rng)
@@ -236,6 +284,34 @@ def test_honest_dnf_prover_follows_a_new_verifier(rng):
         stream = rand_flip_stream(rng, inst.num_vars, 10, query_rate=0.2)
         want = run_protocol(DnfVerifier, reward_maximizing_prover(), inst, stream)
         assert run_protocol(DnfVerifier, prover, inst, stream).to_json() == want.to_json()
+
+
+def test_honest_dnf_prover_builds_its_mirror_before_step_1(monkeypatch, rng):
+    built = []
+    from_literals = ClauseCounters.from_literals.__func__
+    monkeypatch.setattr(ClauseCounters, "from_literals", classmethod(
+        lambda cls, *args: built.append(args) or from_literals(cls, *args)))
+
+    def watched(tokens, seen):
+        seen.append(len(built))  # runs at the first pull
+        yield from tokens
+        seen.append(len(built))
+
+    inst = rand_dnf(rng, m_lo=1)
+    honest = honest_dnf_prover()
+
+    def hidden(verifier, token):  # a wrapper without `prepare`
+        return honest(verifier, token)
+
+    for tokens in (rand_flip_stream(rng, inst.num_vars, 10, query_rate=0.2), []):
+        want = run_protocol(DnfVerifier, reward_maximizing_prover(), inst, tokens).to_json()
+        for prover, at_first_pull in ((honest, [1, 1]), (hidden, [0, 1] if tokens else [0, 0])):
+            del built[:]
+            seen = []
+            got = run_protocol(DnfVerifier, prover, inst, watched(tokens, seen))
+            assert seen == at_first_pull
+            assert len(built) == seen[-1]  # nothing built after the last step
+            assert got.to_json() == want
 
 
 @pytest.mark.parametrize("make", [reward_maximizing_prover, honest_dnf_prover])
@@ -394,6 +470,18 @@ def test_parse_rejects_malformed():
         parse_dnf("p dnf 2 2 2\n1 0\na 0 0\n")  # clause count mismatch
     with pytest.raises(ParseError):
         parse_dnf("1 0\na 0\n")  # no header at all
+
+
+def test_parse_dnf_checks_each_clause_once(monkeypatch):
+    checked = []
+    check_clause = dnf.check_clause
+    monkeypatch.setattr(dnf, "check_clause",
+                        lambda *args: checked.append(args) or check_clause(*args))
+    text = "p dnf 3 3 2\n1 -2 0\n0\n3 0\na 1 0 1\n"
+    for extra, kind in (("", DnfInstance), ("o 3 1 2\n", FirstDnfInstance)):
+        del checked[:]
+        assert type(parse_dnf(text + extra)) is kind
+        assert len(checked) == 3
 
 
 def test_parse_defaults_assignment_to_zeros():

@@ -225,10 +225,12 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_dnf, "p dnf 3 1 2\n1 2 3 0\n", 2),
     (parse_dnf, "p dnf 2 1 2\n1 0\na 0\n", 3),
     (parse_dnf, "p dnf 2 2 1\n1 0\n2 0\no 1 1\n", 4),
+    (parse_dnf, "p dnf 2 2 2\n1 0\n1 -2\n", 3),
+    (parse_dnf, "p dnf 2 2 2\n1 0\n1 0 2 0\n", 3),
 ], ids=["graph-edge-out-of-range", "graph-repeated-edge", "graph-self-loop",
         "aw-color-out-of-range", "aw-color-node-zero", "dnf-literal-out-of-range",
         "dnf-repeated-variable", "dnf-wider-than-declared", "dnf-short-assignment",
-        "dnf-order-not-a-permutation"])
+        "dnf-order-not-a-permutation", "dnf-clause-without-final-0", "dnf-stray-0"])
 def test_id_checks_name_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=rf"^line {lineno}: "):
         parse(text)

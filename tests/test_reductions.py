@@ -125,6 +125,29 @@ def test_per_step_agreement_on_random_streams(name, rng):
             assert rec.agree, (name, rec)
 
 
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_check_reduction_does_not_check_a_checked_instance_again(name, monkeypatch, rng):
+    aw = rand_aw(rng, l_lo=1, r_lo=1)
+    stream = rand_color_stream(rng, aw.num_l, 10)
+    colors = list(aw.colors)
+    checks = []
+    validate = AllWhiteInstance.validate
+
+    def counted(self):
+        checks.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(AllWhiteInstance, "validate", counted)
+    monkeypatch.setattr(AllWhiteInstance, "__post_init__", counted)
+    AllWhiteInstance(1, 1, [(0, 0)], [True])
+    assert len(checks) == 1  # the counter sees a constructor's check
+    del checks[:]
+    records = check_reduction(REDUCTIONS[name], aw, stream)
+    assert checks == []
+    assert all(rec.agree for rec in records)
+    assert aw.colors == colors  # the updates went to a copy
+
+
 def test_translator_arity_one_per_actual_flip(rng):
     for name, build in sorted(REDUCTIONS.items()):
         aw = rand_aw(rng, l_lo=2, r_lo=1)
