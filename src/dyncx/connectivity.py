@@ -593,15 +593,20 @@ class KconnVerifier:
         return VerifierOutput(0, 0)
 
 
-def mincut_bruteforce(graph: DynamicGraph, budget: int = 64):
+def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):
     """Global minimum edge cut: unit-capacity max-flow from node 0 to each
     other node. Returns (value, witness edge set); (0, empty) when already
-    disconnected."""
+    disconnected.
+
+    Its work, (n - 1) * (n + m) for the n - 1 flows over n nodes and m
+    edges, must stay within `budget` (`env_budget()` when not given)."""
     n = graph.num_nodes
     if n < 2:
         raise ParseError("mincut needs at least two nodes")
-    if n > budget:
-        raise BudgetExceeded(f"mincut capped at {budget} nodes")
+    budget = env_budget() if budget is None else budget
+    work = (n - 1) * (n + len(graph.edges))
+    if work > budget:
+        raise BudgetExceeded(f"mincut work (n-1)(n+m) = {work} exceeds budget {budget}")
     caps: dict[tuple[int, int], int] = {}
     for u, v in graph.edges:
         caps[(u, v)] = caps.get((u, v), 0) + 1
@@ -657,7 +662,7 @@ def parse_graph(text: str) -> tuple[DynamicGraph, int | None]:
         nonlocal graph
         graph = DynamicGraph(counts[0])
 
-    def line(parts):
+    def line(parts, _):
         nonlocal k
         if parts[0] == "e":
             # range, self-loop and repeat checks name the line

@@ -504,7 +504,7 @@ def parse_dnf(text: str):
         nonlocal n, m, w
         n, m, w = counts
 
-    def line(parts):
+    def line(parts, _):
         nonlocal assignment, order
         if parts[0] == "a":
             assignment = [int(tok) for tok in parts[1:]]

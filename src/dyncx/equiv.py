@@ -485,7 +485,7 @@ def parse_aw(text: str) -> AllWhiteInstance:
     def start(counts):
         colors.extend([WHITE] * counts[0])
 
-    def line(parts):
+    def line(parts, _):
         if parts[0] == "e":
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
         elif parts[0] == "c":
@@ -515,7 +515,7 @@ def parse_ov(text: str) -> SparseOvInstance:
     columns = []
     u = None
 
-    def line(parts):
+    def line(parts, _):
         nonlocal u
         if parts[0] == "v":
             # a bare `v` is an empty column, orthogonal to every u
@@ -546,7 +546,7 @@ def parse_hypergraph(text: str) -> HypergraphInstance:
     hyperedges = []
     s: set[int] = set()
 
-    def line(parts):
+    def line(parts, _):
         nonlocal s
         if parts[0] == "s":
             s = {int(tok) - 1 for tok in parts[1:]}

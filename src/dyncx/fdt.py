@@ -12,9 +12,13 @@ direction of the machinery compiles a clause-checking verifier into trees
 (`compile_dnf_verifier_to_trees`) so a reward-maximizing proof can be read
 off an fdt oracle (`completeness_harness`). `fdt_to_fdnf` emits every path;
 the oracle (`FdtOracle`) keeps only the paths ranked up to the first
-read-free one, since no later path can be the first satisfied. An
-`FdtInstance` checks its trees (`DecisionTree.validate`, one walk each)
-when it is built, and nothing downstream checks them again.
+read-free one, since no later path can be the first satisfied.
+
+A `DecisionTree` checks its shape when it is built (`DecisionTree.validate`,
+one walk) and records its span; an `FdtInstance` checks only that each
+span fits its memory, with no walk. Nothing downstream checks a tree again.
+The compiler's trees are trusted: they come from a checked `DnfInstance`
+and are built unchecked, so no compiled tree is ever walked for checking.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .framework import (
     BudgetExceeded,
@@ -69,22 +73,30 @@ class End:
     rank: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionTree:
-    """Node 0 is the root; children are node-list positions."""
+    """Node 0 is the root; children are node-list positions.
+
+    A tree checks its shape when it is built (`validate`) and records its
+    `span`, one past the largest memory index any node touches, so that a
+    collection can check that it fits its memory without a second walk.
+    """
 
     nodes: list
+    span: int = field(init=False, repr=False, compare=False)
 
     def validate(self, memory_len: int | None = None) -> "DecisionTree":
         """One walk from the root: every node is reached once, labels and
-        written bits are bits, indices lie in range(memory_len) when given,
-        and no path reads an index twice or after writing it."""
+        written bits are bits, indices are nonnegative, and no path reads an
+        index twice or after writing it. Sets `span`; with memory_len, the
+        span must not exceed it."""
         nodes = self.nodes
         size = len(nodes)
         if not size:
             raise ParseError("tree has no nodes")
         reached = bytearray(size)
         reached[0] = 1
+        span = 0
         stack = [(0, (), ())]
         while stack:
             at, read_seen, written = stack.pop()
@@ -109,8 +121,10 @@ class DecisionTree:
                 children = (node.child,)
             else:
                 raise ParseError(f"node {at}: unknown node kind {node!r}")
-            if memory_len is not None and not 0 <= index < memory_len:
+            if index < 0:
                 raise IndexOutOfRange(f"node {at}: index {index}")
+            if index >= span:
+                span = index + 1
             for c in children:
                 if not 0 <= c < size:
                     raise ParseError(f"node {at}: child {c} out of range")
@@ -120,7 +134,20 @@ class DecisionTree:
                 stack.append((c, read_seen, written))
         if 0 in reached:
             raise ParseError("unreachable nodes present")
+        self.span = span
+        if memory_len is not None and span > memory_len:
+            raise IndexOutOfRange(f"index {span - 1} vs memory of {memory_len}")
         return self
+
+    __post_init__ = validate
+
+    @staticmethod
+    def _unchecked(nodes: list, span: int) -> "DecisionTree":
+        """A tree from nodes already known to be in normal form, with their
+        span, without a second check."""
+        tree = object.__new__(DecisionTree)
+        tree.nodes, tree.span = nodes, span
+        return tree
 
     def depth(self) -> int:
         best = 0
@@ -144,8 +171,13 @@ class FdtInstance:
     trees: list[DecisionTree]
 
     def validate(self) -> "FdtInstance":
-        for t in self.trees:
-            t.validate(len(self.memory))
+        """Each tree checked its shape when it was built; here its span
+        must fit the memory, with no walk."""
+        size = len(self.memory)
+        for t_idx, t in enumerate(self.trees):
+            if t.span > size:
+                raise IndexOutOfRange(
+                    f"tree {t_idx}: index {t.span - 1} vs memory of {size}")
         return self
 
     __post_init__ = validate
@@ -281,22 +313,25 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     (x=0, y=-1, rank -1). The final tree is a lone end node (x=0, y=0,
     rank 0): conceding earns more than lying.
 
-    The trees are in normal form by construction, since the instance was
-    checked when it was built (no clause repeats a variable); the
-    `FdtInstance` they go into checks them once, against its memory."""
+    The compiled trees are trusted, not walked: they are in normal form by
+    construction, since the instance was checked when it was built (no
+    clause repeats a variable, every variable is below num_vars), so each
+    is built unchecked with the span its clause gives."""
     budget = env_budget() if budget is None else budget
     if len(inst.clauses) > budget:
         raise BudgetExceeded(f"{len(inst.clauses)} clauses exceeds budget {budget}")
+    unchecked = DecisionTree._unchecked
     trees = []
     # leaves are immutable, so every node list holds the same two objects
     accept, reject = End(1, 1, 1), End(0, -1, -1)
     for c in inst.clauses:
         if not c.literals:
-            trees.append(DecisionTree([accept]))
+            trees.append(unchecked([accept], 0))
             continue
         nodes: list = [None] * len(c.literals)
         success = len(nodes)
         nodes.append(accept)
+        span = 0
         # one shared fail leaf per mismatch keeps this a tree, not a DAG,
         # so each literal gets its own node position
         for depth, (var, positive) in enumerate(c.literals):
@@ -304,8 +339,10 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
             fail = len(nodes)
             nodes.append(reject)
             nodes[depth] = Read(var, fail, follow) if positive else Read(var, follow, fail)
-        trees.append(DecisionTree(nodes))
-    trees.append(DecisionTree([End(0, 0, 0)]))
+            if var >= span:
+                span = var + 1
+        trees.append(unchecked(nodes, span))
+    trees.append(unchecked([End(0, 0, 0)], 0))
     return trees
 
 
@@ -323,7 +360,8 @@ class FdtOracle:
     clause's accepting path and the trailing null-proof tree. An update
     costs the bit's occurrences over the kept paths, an answer O(log
     paths) amortized. The mirrored memory is the counters' assignment.
-    The trees were checked when their `FdtInstance` was built.
+    Each tree checked itself when it was built, or was compiled from a
+    checked instance and is trusted; its `FdtInstance` checked the spans.
     """
 
     def __init__(self, inst: FdtInstance):
@@ -458,27 +496,22 @@ def completeness_harness(
 #   W <idx> <bit> <child-id>
 #   E <x> <y> <rank>
 # A final `m <bit> ... <bit>` line gives the memory. Memory indices in
-# R/W lines are 1-based.
+# R/W lines are 1-based. A tree's shape is checked once all lines are read,
+# and a fault is reported on the tree's `T` line.
 
 
 def parse_trees(text: str) -> FdtInstance:
     memory = None
-    trees: list[DecisionTree] = []
+    blocks: list[tuple[int, list]] = []  # (line number of the T, nodes)
     block: list | None = None
 
-    def close():
-        nonlocal block
-        if block is not None:
-            trees.append(DecisionTree(block))
-            block = None
-
-    def line(parts):
+    def line(parts, lineno):
         nonlocal block, memory
         if parts[0] == "T":
-            close()
             block = []
+            blocks.append((lineno, block))
         elif parts[0] == "m":
-            close()
+            block = None
             memory = [int(b) for b in parts[1:]]
             if any(b not in (0, 1) for b in memory):
                 raise ParseError("memory bits must be 0/1")
@@ -499,9 +532,16 @@ def parse_trees(text: str) -> FdtInstance:
             raise ParseError("unknown line")
 
     read_lines(text, line)
-    close()
     if memory is None:
         raise ParseError("missing memory line")
+    trees = []
+    for lineno, nodes in blocks:
+        try:
+            trees.append(DecisionTree(nodes))
+        except DyncxError as exc:
+            raise ParseError(
+                f"line {lineno}: tree opened here: {exc} (nodes counted from 0)"
+            ) from exc
     return FdtInstance(memory, trees)
 
 

@@ -103,7 +103,8 @@ def decode_edge_set(payload: bytes) -> list[tuple[int, int]]:
 
 def read_lines(text: str, handle, header: tuple[str, int] | None = None,
                comment: str | None = None, on_header=None) -> tuple[int, ...]:
-    """Call handle(fields) for each body line of `text`; return the header counts.
+    """Call handle(fields, line number) for each body line of `text`; return
+    the header counts.
 
     `#` starts a comment. Blank lines, and lines whose first field is
     `comment`, are skipped. With header=(kind, arity) the first remaining
@@ -111,8 +112,10 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
     and no other `p` line may follow; a negative count is a ParseError, one
     past the budget a BudgetExceeded. on_header(counts), when given, runs
     once the header is read, so that `handle` can check ids against the
-    counts line by line. A ValueError, IndexError or DyncxError from
-    `handle` comes back as a ParseError naming the line.
+    counts line by line; the line number lets a format that checks a block
+    of lines after reading them all name the block's first line. A
+    ValueError, IndexError or DyncxError from `handle` comes back as a
+    ParseError naming the line.
     """
     counts = None if header else ()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -128,7 +131,7 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
         try:
             if parts[0] == "p" and header:
                 raise ParseError("second 'p' line")
-            handle(parts)
+            handle(parts, lineno)
         except (ValueError, IndexError, DyncxError) as exc:
             reason = "too few fields" if isinstance(exc, IndexError) else exc
             raise ParseError(f"line {lineno}: {raw.strip()!r}: {reason}") from exc
@@ -182,7 +185,7 @@ class UpdateStream:
     @classmethod
     def parse(cls, text: str) -> "UpdateStream":
         items = []
-        read_lines(text, lambda parts: items.append(_parse_token(parts)))
+        read_lines(text, lambda parts, _: items.append(_parse_token(parts)))
         return cls(items)
 
     def format(self) -> str:

@@ -416,7 +416,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
 
-    def line(parts):
+    def line(parts, _):
         for tok in parts:
             lit = int(tok)
             if lit == 0:

@@ -252,7 +252,7 @@ def test_complete_demo_validates_each_tree_once(files, capsys, monkeypatch):
                  "--updates", files["flips.txt"]]
     )
     assert rc == 0
-    assert len(seen) == len(set(seen)) == payload["counters"]["trees"]
+    assert seen == []
 
 
 def count_checks(monkeypatch, cls) -> list:
@@ -267,6 +267,21 @@ def count_checks(monkeypatch, cls) -> list:
     monkeypatch.setattr(cls, "validate", counting)
     monkeypatch.setattr(cls, "__post_init__", counting, raising=False)
     return seen
+
+
+def test_complete_demo_walks_no_tree_after_compile(files, capsys, monkeypatch):
+    from dyncx import dnf, fdt
+
+    seen = count_checks(monkeypatch, fdt.DecisionTree)
+    rc, payload = run_json(
+        capsys, ["complete-demo", "--in", files["inst.dnf"],
+                 "--updates", files["flips.txt"]]
+    )
+    assert rc == 0 and payload["counters"]["trees"] == 4
+    inst = dnf.parse_dnf(DNF_TEXT)
+    trees = fdt.compile_dnf_verifier_to_trees(inst)
+    fdt.completeness_harness(trees, inst.assignment, [("f", 0, 1), ("q",)])
+    assert seen == []
 
 
 def test_an_instance_is_checked_once_when_it_is_built(files, capsys, monkeypatch):
@@ -413,3 +428,63 @@ def test_kconn_proof_space_past_the_budget_exits_2_before_building_it(tmp_path, 
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "budget" in err
+
+
+def test_kconn_past_64_nodes_runs_honest_with_check(tmp_path, capsys):
+    import random
+
+    rng = random.Random(65)
+    n = 65
+    edges = {(u, u % n + 1) for u in range(1, n + 1)}  # a cycle: connected
+    while len(edges) < 200:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        edges.add((u, v))
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"p graph {n}\n" + "".join(f"e {u} {v}\n" for u, v in sorted(edges)))
+    present = sorted(edges)
+    stream = []
+    for step in range(20):
+        if step % 4 == 3:
+            stream.append("q")
+        else:
+            u, v = present.pop(rng.randrange(len(present)))
+            stream.append(f"e - {u} {v}")
+    edits = tmp_path / "edits.txt"
+    edits.write_text("\n".join(stream) + "\n")
+    rc, payload = run_json(
+        capsys, ["verify", "--problem", "kconn", "--k", "2", "--in", str(graph),
+                 "--updates", str(edits), "--check"]
+    )
+    assert rc == 0
+    assert payload["flags"] == {"sound": True, "complete": True}
+
+
+def readme_commands() -> list[str]:
+    """Every `dyncx ...` or `python -m dyncx ...` command in README, from
+    its fenced code blocks (backslash continuations joined) and its inline
+    code spans, where such a span is always a whole command."""
+    import re
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        lines += block.replace("\\\n", " ").splitlines()
+    lines += re.findall(r"(?<!`)`([^`\n]+)`(?!`)", text)
+    commands = []
+    for line in lines:
+        line = line.strip()
+        for prefix in ("python -m dyncx ", "dyncx "):
+            if line.startswith(prefix):
+                commands.append(line[len(prefix):])
+    return commands
+
+
+def test_readme_commands_parse():
+    import shlex
+
+    from dyncx.cli import build_parser
+
+    commands = readme_commands()
+    assert any(c.startswith("--table bench") for c in commands)
+    for command in commands:
+        build_parser().parse_args(shlex.split(command))

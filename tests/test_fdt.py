@@ -54,20 +54,20 @@ def test_validate_accepts_single_leaf():
 
 def test_validate_rejects_shared_child():
     # node 2 referenced twice: a DAG, not a tree
-    t = DecisionTree([Read(0, 1, 1), End(0, 0, 0)])
     with pytest.raises(ParseError):
+        t = DecisionTree([Read(0, 1, 1), End(0, 0, 0)])
         t.validate(4)
 
 
 def test_validate_rejects_double_read_on_a_path():
-    t = DecisionTree([Read(0, 1, 2), End(0, 0, 0), Read(0, 3, 4), End(0, 0, 0), End(1, 1, 1)])
     with pytest.raises(NotNormalized):
+        t = DecisionTree([Read(0, 1, 2), End(0, 0, 0), Read(0, 3, 4), End(0, 0, 0), End(1, 1, 1)])
         t.validate(4)
 
 
 def test_validate_rejects_read_after_write():
-    t = DecisionTree([Write(0, 1, 1), Read(0, 2, 3), End(0, 0, 0), End(1, 1, 1)])
     with pytest.raises(NotNormalized):
+        t = DecisionTree([Write(0, 1, 1), Read(0, 2, 3), End(0, 0, 0), End(1, 1, 1)])
         t.validate(4)
 
 
@@ -103,14 +103,45 @@ def test_validate_rejects_bad_bits_and_dangling_children():
 
 def test_validate_rejects_a_cycle_off_the_root():
     # every non-root node is referenced once, yet nodes 1-3 hang off a cycle
-    t = DecisionTree([End(0, 0, 0), Read(0, 2, 3), Write(1, 1, 1), End(1, 1, 1)])
     with pytest.raises(ParseError):
+        t = DecisionTree([End(0, 0, 0), Read(0, 2, 3), Write(1, 1, 1), End(1, 1, 1)])
         t.validate(2)
 
 
 def test_instance_validate_covers_every_tree():
     with pytest.raises(IndexOutOfRange):
         FdtInstance([0, 1], [single_read(0), single_read(4)])
+
+
+@pytest.mark.parametrize("nodes, error", [
+    ([End(0, 0, 0), Read(0, 2, 3), Write(1, 1, 1), End(1, 1, 1)], ParseError),
+    ([Read(0, 1, 1), End(0, 0, 0)], ParseError),
+    ([Read(0, 1, 2), End(0, 0, 0), Read(0, 3, 4), End(0, 0, 0), End(1, 1, 1)],
+     NotNormalized),
+    ([Write(0, 1, 1), Read(0, 2, 3), End(0, 0, 0), End(1, 1, 1)], NotNormalized),
+    ([Write(0, 2, 1), End(0, 0, 0)], ParseError),
+    ([Read(-1, 1, 2), End(0, 0, 0), End(1, 1, 1)], IndexOutOfRange),
+    ([Read(0, 1, 5), End(0, 0, 0)], ParseError),
+], ids=["cycle", "shared-child", "read-twice", "read-after-write", "bad-bit",
+        "negative-index", "dangling-child"])
+def test_a_malformed_tree_cannot_be_built(nodes, error):
+    with pytest.raises(error) as caught:
+        DecisionTree(nodes)
+    assert type(caught.value) is error
+
+
+def test_a_tree_records_one_past_its_largest_index():
+    assert DecisionTree([End(1, 0, 0)]).span == 0
+    assert single_read(3).span == 4
+    assert DecisionTree([Write(6, 1, 1), Read(2, 2, 3), End(0, 0, 0), End(1, 1, 1)]).span == 7
+
+
+def test_instance_refuses_a_tree_whose_span_exceeds_its_memory():
+    tree = DecisionTree([Write(2, 1, 1), End(0, 0, 0)])
+    assert tree.span == 3
+    FdtInstance([0, 0, 0], [tree])
+    with pytest.raises(IndexOutOfRange):
+        FdtInstance([0, 0], [tree])
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +359,24 @@ def rand_compilable(rng):
         cl.append(clause(*[v if rng.random() < 0.5 else -v for v in vs]))
     assignment = [rng.randrange(2) for _ in range(n)]
     return DnfInstance(n, cl, assignment, max(c.width for c in cl)).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_trees_pass_the_checked_constructor(data):
+    n = data.draw(st.integers(1, 8))
+    literal = st.tuples(st.integers(1, n), st.booleans())
+    drawn = data.draw(st.lists(st.lists(literal, max_size=4, unique_by=lambda l: l[0]),
+                               max_size=8))
+    cl = [clause(*[v if positive else -v for v, positive in lits]) for lits in drawn]
+    assignment = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    inst = DnfInstance(n, cl, assignment, max((c.width for c in cl), default=0))
+    trees = compile_dnf_verifier_to_trees(inst)
+    assert len(trees) == len(cl) + 1
+    for t in trees:
+        checked = DecisionTree(list(t.nodes))
+        assert checked.span == t.span <= n
+        assert checked == t
 
 
 def test_compile_budget():
@@ -612,6 +661,18 @@ def test_tree_file_rejects_garbage():
         parse_trees("T\nX 1\nm 0\n")
     with pytest.raises(IndexOutOfRange):
         parse_trees("T\nR 3 2 3\nE 0 0 0\nE 1 1 1\nm 0\n")
+
+
+def test_tree_file_shape_error_names_the_tree_line():
+    # the second tree shares node 2; its block closes at the `m` line
+    text = "T\nE 0 0 0\n# note\n\nT\nR 1 2 2\nE 0 0 0\nm 0\n"
+    with pytest.raises(ParseError, match=r"^line 5: tree opened here: ") as caught:
+        parse_trees(text)
+    assert type(caught.value) is ParseError
+    with pytest.raises(ParseError, match=r"^line 1: .*read twice"):
+        parse_trees("T\nR 1 2 3\nE 0 0 0\nR 1 4 5\nE 0 0 0\nE 1 1 1\nm 0\n")
+    with pytest.raises(ParseError, match=r"^line 1: .*no nodes"):
+        parse_trees("T\nT\nE 1 1 1\nm 0\n")
 
 
 def test_stream_tokens_reused_from_shared_parser():
