@@ -11,15 +11,19 @@ Three layers:
   plus a super node holding one edge per component representative, turning
   yes/no connectivity answers into an explicitly maintained spanning forest.
   Its default oracle, `ForestConnectivityOracle`, keeps its own spanning
-  forest; `RebuildConnectivityOracle` is the brute-force reference.
+  forest as plain adjacency sets; `RebuildConnectivityOracle` is the
+  brute-force reference.
 * `KconnVerifier`: one-round protocol for "is edge connectivity < k";
   the proof is a set of at most k-1 edges whose removal disconnects.
 
-Replacement searches (the honest provers and `ForestConnectivityOracle`)
-follow Henzinger and King: walk the Euler tour of the smaller side of the
-cut and read the graph edges at its vertices, O(vol(smaller side)) plus the
-walk per forest-edge deletion. The walks are unmetered (`DynamicForest`'s
-tour walks), so prover work never lands on a verifier's probe count.
+Every replacement search reads only the graph edges at the vertices of the
+smaller side of the cut, O(vol(smaller side)) per forest-edge deletion.
+The honest provers find that side as Henzinger and King do, by walking its
+Euler tour in the verifier's or protocol's forest; the walks are unmetered
+(`DynamicForest`'s tour walks), so prover work never lands on a verifier's
+probe count. `ForestConnectivityOracle` has no Euler tour: it explores the
+two trees the cut leaves side by side until one runs out, as in Even and
+Shiloach's on-line edge deletion.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .framework import (
     env_budget,
     read_lines,
 )
-from .forest import DynamicForest, NotTreeEdge, WouldCycle
+from .forest import DynamicForest
 from . import oracles
 
 
@@ -305,45 +309,94 @@ class ForestConnectivityOracle:
     and its component count, behind `RebuildConnectivityOracle`'s interface,
     `calls` count and exceptions.
 
-    Deleting a tree edge searches the smaller of the two trees it leaves
-    for a graph edge to relink, O(vol(smaller tree)) plus the walk. The
-    search is exhaustive, so finding none proves a real split.
+    The forest is kept as tree-adjacency sets (`tree[v]`, v's neighbours in
+    its tree) with one tree label per vertex (`label[v]`), so an insert
+    inside a tree costs O(1). Deleting a tree edge explores the two trees
+    it leaves side by side and searches the smaller one, S, for a graph
+    edge to relink, in O(vol(S)): the forest is maximal, so any edge
+    leaving S enters the other tree, and finding none proves a real split,
+    which gives S a fresh label. An insert joining two trees relabels the
+    smaller one, found the same way.
     """
 
     def __init__(self, num_nodes: int, edges):
         self.graph = DynamicGraph(num_nodes, edges)
-        self.forest = DynamicForest(num_nodes)
-        spanning_forest_of(self.graph, self.forest)
-        self.components = num_nodes - self.forest.edge_count
+        self.tree: list[set[int]] = [set() for _ in range(num_nodes)]
+        uf = oracles.UnionFind(num_nodes)
+        # any maximal forest is correct; in sorted order it is the greedy one
+        # `spanning_forest_of` gives, so over a spanning protocol's graph the
+        # oracle's tree edges start as the protocol's and the searches of
+        # both fall on the same deletions
+        for u, v in sorted(self.graph.edges):
+            if uf.union(u, v):
+                self.tree[u].add(v)
+                self.tree[v].add(u)
+        self.label = [uf.find(v) for v in range(num_nodes)]
+        self.fresh = num_nodes  # the next unused label
+        self.components = sum(1 for v in range(num_nodes) if self.label[v] == v)
         self.calls = 0
+
+    def _smaller_tree(self, a, b) -> set[int]:
+        """The vertices of the smaller of a's and b's trees, which must
+        differ: both are explored in turn, one tree edge each, until one
+        runs out, so this costs O(size of the smaller tree)."""
+        seen_a, seen_b = {a}, {b}
+        walk_b = _explore(self.tree, b, seen_b)
+        for _ in _explore(self.tree, a, seen_a):
+            if not next(walk_b, False):
+                return seen_b
+        return seen_a
 
     def insert(self, u, v):
         self.calls += 1
         self.graph.insert(u, v)
-        if not self.forest.connected(u, v):
-            self.forest.link(u, v)
+        label = self.label
+        if label[u] != label[v]:
+            side = self._smaller_tree(u, v)
+            new = label[v] if u in side else label[u]
+            for x in side:
+                label[x] = new
+            self.tree[u].add(v)
+            self.tree[v].add(u)
             self.components -= 1
 
     def delete(self, u, v):
         self.calls += 1
         self.graph.delete(u, v)
-        if not self.forest.has_edge(u, v):
+        tree = self.tree
+        if v not in tree[u]:
             return
-        self.forest.cut(u, v)
-        side = self.forest.smaller_tree(u, v)
-        inside = set(side)
+        tree[u].remove(v)
+        tree[v].remove(u)
+        side = self._smaller_tree(u, v)
+        adj = self.graph.adj
         for x in side:
-            for y in self.graph.adj[x]:
-                # the forest is maximal, so an edge leaving one tree enters
-                # the other
-                if y not in inside:
-                    self.forest.link(x, y)
+            for y in adj[x]:
+                if y not in side:
+                    tree[x].add(y)
+                    tree[y].add(x)
                     return
+        label = self.label
+        for x in side:
+            label[x] = self.fresh
+        self.fresh += 1
         self.components += 1
 
     def is_connected(self) -> bool:
         self.calls += 1
         return self.components <= 1
+
+
+def _explore(tree, root, seen):
+    """Depth-first walk of root's tree, adding its vertices to `seen`;
+    yields True once per tree edge it reads."""
+    todo = [root]
+    while todo:
+        for y in tree[todo.pop()]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+            yield True
 
 
 @dataclass

@@ -537,11 +537,17 @@ def parse_trees(text: str) -> FdtInstance:
     trees = []
     for lineno, nodes in blocks:
         try:
-            trees.append(DecisionTree(nodes))
+            tree = DecisionTree(nodes)
         except DyncxError as exc:
             raise ParseError(
                 f"line {lineno}: tree opened here: {exc} (nodes counted from 0)"
             ) from exc
+        if tree.span > len(memory):
+            # span is one past the largest index, so the file's own 1-based index
+            raise IndexOutOfRange(
+                f"line {lineno}: tree opened here: touches bit {tree.span}"
+                f" of a {len(memory)}-bit memory")
+        trees.append(tree)
     return FdtInstance(memory, trees)
 
 

@@ -12,20 +12,21 @@ node in this component" a root lookup.
 
 `build` lays a whole greedy forest out in one pass (a DFS tour per tree,
 treaps by Cartesian-tree construction). `tree_of`, `tree_vertices`,
-`smaller_tree` and `smaller_side` are read-only tour walks for provers and
-oracles searching a cut: they charge no meter and draw no priorities, so
-the forest's own per-operation budgets and seeded shapes are untouched.
+`smaller_tree` and `smaller_side` are read-only tour walks for provers
+searching a cut: they charge no meter and draw no priorities, so the
+forest's own per-operation budgets and seeded shapes are untouched.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from .framework import DyncxError, ProbeMeter
 from .oracles import UnionFind
 
-INF = float("inf")
+INF = sys.maxsize  # the minimum over no self-arc; above every vertex id
 
 
 class WouldCycle(DyncxError):
@@ -37,35 +38,39 @@ class NotTreeEdge(DyncxError):
 
 
 class _Arc:
-    __slots__ = ("u", "v", "prio", "left", "right", "parent", "size", "min_vertex")
+    __slots__ = ("u", "v", "own", "prio", "left", "right", "parent", "size", "min_vertex")
 
     def __init__(self, u: int, v: int, prio: float):
         self.u = u
         self.v = v
+        self.own = u if u == v else INF  # this arc's own part of min_vertex
         self.prio = prio
         self.left = None
         self.right = None
         self.parent = None
         self.size = 1
-        self.min_vertex = u if u == v else INF
+        self.min_vertex = self.own
 
 
-def _pull(x: _Arc):
-    """Recompute x's subtree size and minimum self-arc vertex from its children."""
-    size = 1
-    mn = x.u if x.u == x.v else INF
-    left = x.left
-    if left is not None:
-        size += left.size
-        if left.min_vertex < mn:
-            mn = left.min_vertex
-    right = x.right
-    if right is not None:
-        size += right.size
-        if right.min_vertex < mn:
-            mn = right.min_vertex
-    x.size = size
-    x.min_vertex = mn
+def _pull_up(x: _Arc | None, stop: _Arc | None = None):
+    """Recompute subtree sizes and minimum self-arc vertex ids from x up the
+    parent chain, each node from its children, stopping before `stop`."""
+    while x is not stop:
+        size = 1
+        mn = x.own
+        left = x.left
+        if left is not None:
+            size += left.size
+            if left.min_vertex < mn:
+                mn = left.min_vertex
+        right = x.right
+        if right is not None:
+            size += right.size
+            if right.min_vertex < mn:
+                mn = right.min_vertex
+        x.size = size
+        x.min_vertex = mn
+        x = x.parent
 
 
 def _top(x: _Arc) -> _Arc:
@@ -130,7 +135,8 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
         last = None
         while spine and spine[-1].prio > x.prio:
             last = spine.pop()
-            _pull(last)  # its subtrees are final once it leaves the right spine
+            # its subtrees are final once it leaves the right spine
+            _pull_up(last, last.parent)
         x.left = last
         if last is not None:
             last.parent = x
@@ -138,24 +144,23 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
             spine[-1].right = x
             x.parent = spine[-1]
         spine.append(x)
-    root = spine[0]
-    while spine:
-        _pull(spine.pop())
-    return root
+    _pull_up(spine[-1])
+    return spine[0]
 
 
 def _split(t: _Arc | None, k: int):
     """(first k arcs, the rest) of treap t, and the number of nodes on the
     path split walked down.
 
-    The path's nodes are dealt to the two results top-down, then their sizes
-    and minima are recomputed bottom-up.
+    The path's nodes are dealt to the two results top-down, each result's
+    share forming one chain from its root; then each chain's sizes and
+    minima are recomputed bottom-up.
     """
-    path = []
+    walked = 0
     left_root = right_root = None
     left_tail = right_tail = None  # deepest node so far in each result
     while t is not None:
-        path.append(t)
+        walked += 1
         below = t.left
         left_size = below.size if below is not None else 0
         if k <= left_size:
@@ -180,9 +185,9 @@ def _split(t: _Arc | None, k: int):
         left_tail.right = None
     if right_tail is not None:
         right_tail.left = None
-    for x in reversed(path):
-        _pull(x)
-    return left_root, right_root, len(path)
+    _pull_up(left_tail)
+    _pull_up(right_tail)
+    return left_root, right_root, walked
 
 
 def _merge(a: _Arc | None, b: _Arc | None):
@@ -191,13 +196,14 @@ def _merge(a: _Arc | None, b: _Arc | None):
 
     The lower priority of the two current roots goes on the path; a node
     from a keeps its left subtree and merges on to its right, a node from b
-    the mirror image. Then sizes and minima are recomputed bottom-up.
+    the mirror image. Then sizes and minima are recomputed bottom-up, from
+    the path's last node to the root.
     """
     if a is None:
         return b, 0
     if b is None:
         return a, 0
-    path = []
+    walked = 0
     root = prev = None
     prev_from_a = False
     while a is not None and b is not None:
@@ -212,7 +218,7 @@ def _merge(a: _Arc | None, b: _Arc | None):
         else:
             prev.left = node
         node.parent = prev
-        path.append(node)
+        walked += 1
         prev, prev_from_a = node, from_a
     rest = a if a is not None else b
     if prev_from_a:
@@ -220,9 +226,8 @@ def _merge(a: _Arc | None, b: _Arc | None):
     else:
         prev.left = rest
     rest.parent = prev
-    for x in reversed(path):
-        _pull(x)
-    return root, len(path)
+    _pull_up(prev)
+    return root, walked
 
 
 def _rotate(root: _Arc, pos: int):
@@ -392,7 +397,7 @@ class DynamicForest:
         root, depth, _ = _climb(self._self_arc[v])
         meter.count += depth + 1
         meter.end_op("component_min")
-        return int(root.min_vertex)
+        return root.min_vertex
 
     def component_size(self, v: int) -> int:
         self._check(v)

@@ -68,8 +68,9 @@ def rand_graph(rng: random.Random, n_hi=9, n_lo=2) -> DynamicGraph:
 
 
 def rand_edge_stream(rng: random.Random, graph: DynamicGraph, steps: int,
-                     query_rate=0.1):
-    """Edit stream consistent with the evolving edge set."""
+                     query_rate=0.1, delete_rate=0.5):
+    """Edit stream consistent with the evolving edge set; an edit deletes a
+    present edge with probability `delete_rate`."""
     n = graph.num_nodes
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     present = set(graph.edges)
@@ -78,7 +79,7 @@ def rand_edge_stream(rng: random.Random, graph: DynamicGraph, steps: int,
         absent = [e for e in pairs if e not in present]
         if rng.random() < query_rate or (not present and not absent):
             out.append(("q",))
-        elif present and (rng.random() < 0.5 or not absent):
+        elif present and (rng.random() < delete_rate or not absent):
             e = rng.choice(sorted(present))
             present.discard(e)
             out.append(("e", "-", e[0], e[1]))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -329,6 +331,95 @@ def test_forest_oracle_matches_the_rebuild_oracle(data):
         assert fast.components == component_count(n, edges)
         assert fast.is_connected() == is_connected(n, edges)
         ref.is_connected()
+
+
+def churn(rng, n, m, steps):
+    """A random graph on n >= 2 nodes with m edges, and `steps` edits, 80%
+    of them deletions."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = DynamicGraph(n, set(rng.sample(pairs, m)))
+    return graph, rand_edge_stream(rng, graph, steps, query_rate=0.0, delete_rate=0.8)
+
+
+def assert_forest_oracle_state(oracle, n, edges):
+    """Its count, its labels and its forest match the edge set's components."""
+    assert oracle.components == component_count(n, edges)
+    comp = components(n, edges)
+    # equal labels exactly within a component: (component, label) is a bijection
+    assert len(set(zip(comp, oracle.label))) == len(set(comp)) == len(set(oracle.label))
+    forest = {(u, v) for u in range(n) for v in oracle.tree[u] if u < v}
+    assert all(v in oracle.tree[u] for u, v in forest)  # both directions kept
+    assert forest <= edges
+    assert component_count(n, forest) == oracle.components == n - len(forest)
+
+
+def test_forest_oracle_on_seeded_churn():
+    rng = random.Random(40)
+    for _ in range(30):
+        n = rng.randint(2, 40)
+        graph, stream = churn(rng, n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), 60)
+        edges = set(graph.edges)
+        oracle = ForestConnectivityOracle(n, edges)
+        assert_forest_oracle_state(oracle, n, edges)
+        for calls, (_, sign, u, v) in enumerate(stream, 1):
+            if sign == "+":
+                oracle.insert(u, v)
+                edges.add((u, v))
+            else:
+                oracle.delete(u, v)
+                edges.remove((u, v))
+            assert oracle.calls == calls
+            assert_forest_oracle_state(oracle, n, edges)
+        assert oracle.is_connected() == is_connected(n, edges)
+
+
+def test_forest_oracle_splits_and_rejoins_a_path():
+    n = 9
+    edges = {(i, i + 1) for i in range(n - 1)}
+    oracle = ForestConnectivityOracle(n, edges)
+    assert oracle.is_connected()
+
+    def edit(sign, u, v, smaller):
+        before = list(oracle.label)
+        key = (min(u, v), max(u, v))
+        if sign == "+":
+            oracle.insert(u, v)
+            edges.add(key)
+        else:
+            oracle.delete(u, v)
+            edges.remove(key)
+        assert_forest_oracle_state(oracle, n, edges)
+        # only the smaller tree's labels change
+        assert [x for x in range(n) if oracle.label[x] != before[x]] == smaller
+
+    edit("-", 4, 5, [5, 6, 7, 8])  # the middle: the right half gets a fresh label
+    edit("-", 0, 1, [0])  # the ends
+    edit("-", 7, 8, [8])
+    assert oracle.components == 4 and not oracle.is_connected()
+    assert len({oracle.label[x] for x in (0, 4, 5, 8)}) == 4
+    edit("+", 4, 5, [5, 6, 7])  # {5, 6, 7} takes the label of {1, .., 4}
+    edit("+", 8, 7, [8])
+    edit("+", 1, 0, [0])
+    assert oracle.components == 1 and oracle.is_connected()
+    assert len(set(oracle.label)) == 1
+
+
+def test_forest_meter_counts_are_pinned():
+    """Exact Euler-tour probe counts of a seeded verifier and a seeded
+    spanning protocol over one churn stream: a change to the treap's
+    plumbing must charge exactly the same probes."""
+    graph, stream = churn(random.Random(13), 40, 100, 120)
+    verifier = ConnVerifier(graph, forest_seed=5)
+    counts = [verifier.forest.meter.count]
+    for token in stream:
+        verifier.step(token, honest_conn_prover(verifier, token))
+    counts.append(verifier.forest.meter.count)
+    protocol = SpanningForestProtocol(graph, forest_seed=5)
+    counts.append(protocol.forest.meter.count)
+    for token in stream:
+        assert protocol.apply(token).valid
+    counts.append(protocol.forest.meter.count)
+    assert counts == [0, 10731, 297, 12325]
 
 
 @pytest.mark.parametrize("prover", [None, stubborn_replacement_prover])

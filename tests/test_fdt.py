@@ -675,6 +675,15 @@ def test_tree_file_shape_error_names_the_tree_line():
         parse_trees("T\nT\nE 1 1 1\nm 0\n")
 
 
+def test_tree_file_index_past_memory_names_the_tree_line():
+    text = "T\nR 3 2 3\nE 0 0 0\nE 1 1 1\nm 0\n"
+    with pytest.raises(IndexOutOfRange, match=r"^line 1: tree opened here: .*bit 3 of a 1-bit"):
+        parse_trees(text)
+    # the second tree writes bit 2 of 1; its T is on line 3
+    with pytest.raises(IndexOutOfRange, match=r"^line 3: "):
+        parse_trees("T\nE 0 0 0\nT\nW 2 1 2\nE 0 0 0\nm 0\n")
+
+
 def test_stream_tokens_reused_from_shared_parser():
     # harness consumes the same token shapes the other dynamic problems use
     stream = UpdateStream.parse("f 1 0\nq\n")
