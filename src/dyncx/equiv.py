@@ -108,48 +108,61 @@ def transpose(num_scanned: int, num_colored: int, edges, colors) -> AllWhiteInst
 
 
 class AllWhiteCounters:
-    """Per-R-node count of black neighbors, bit-sliced; answer = some count is zero.
+    """Per-R-node count of black neighbors, packed; answer = some count is zero.
 
-    `masks[l]` has bit r set when (l, r) is an edge. The counts are kept as
-    slices: bit r of `slices[j]` is bit j of R node r's black-neighbor
-    count. Blackening l adds masks[l] into the slices with a ripple carry,
-    whitening subtracts it with a ripple borrow, and the answer is whether
-    some bit of `full` lies in no slice. Each recolor or answer therefore
-    costs O(log |L|) big-int operations on |R|-bit words. `ops` counts
-    calls: +1 per `answer` and +1 per `set_color`, a call that changes
-    nothing included.
+    The counts are packed into one int, `count`: R node r's count is the
+    w-bit field at bit w*r, where w = |L|.bit_length() + 1 (see `layout`).
+    A count never exceeds |L| < 2^(w-1), so the top bit of every field is
+    a guard that no carry reaches. `masks[l]` has a 1 in field r for each
+    edge (l, r), so blackening l is `count += masks[l]` and whitening it
+    `count -= masks[l]`. Adding 2^(w-1) - 1 to every field sets a field's
+    guard bit exactly when its count is nonzero, so the answer is one add,
+    one AND and one compare (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 1975). Each recolor or answer therefore
+    costs O(1) big-int operations on R*w-bit words, and the masks take w
+    times the memory of one bit per R node. `ops` counts calls:
+    +1 per `answer` and +1 per `set_color`, a call that changes nothing
+    included.
     """
 
     def __init__(self, inst: AllWhiteInstance):
+        width, _ = self.layout(inst.num_l, inst.num_r)
         masks = [0] * inst.num_l
         for l, r in inst.edges:
-            masks[l] |= 1 << r
+            masks[l] |= 1 << (width * r)
         self._fill(inst.num_r, masks, inst.colors)
+
+    @staticmethod
+    def layout(num_l: int, num_r: int) -> tuple[int, int]:
+        """(w, unit): the field width for counts up to num_l, and the int
+        with a 1 in each of num_r fields."""
+        width = num_l.bit_length() + 1
+        return width, ((1 << (width * num_r)) - 1) // ((1 << width) - 1)
 
     @classmethod
     def from_masks(cls, num_r: int, masks, colors) -> "AllWhiteCounters":
-        """Counters over neighbor masks (one per L node); nothing is validated."""
+        """Counters over neighbor masks (one per L node) already in the
+        packed layout: bit w*r of masks[l] is set when (l, r) is an edge,
+        with w from `layout(len(masks), num_r)`. Nothing is validated."""
         self = cls.__new__(cls)
         self._fill(num_r, masks, colors)
         return self
 
     def _fill(self, num_r, masks, colors):
-        self.full = (1 << num_r) - 1
+        width, unit = self.layout(len(masks), num_r)
+        self.high = unit << (width - 1)  # the guard bit of every field
+        self.low = self.high - unit  # 2^(w-1) - 1 in every field
         self.masks = list(masks)
         self.colors = [WHITE] * len(self.masks)
-        # a count never exceeds |L|, so this many slices never overflow
-        self.slices = [0] * len(self.masks).bit_length()
-        self.ops = 0
+        self.count = 0
         for node, white in enumerate(colors):
             if not white:
-                self.set_color(node, BLACK)
-        self.ops = 0  # the set-up recolors are not charged
+                self.colors[node] = BLACK
+                self.count += self.masks[node]
+        self.ops = 0
 
     def _any_zero(self) -> int:
-        black = 0  # R nodes with a nonzero count
-        for s in self.slices:
-            black |= s
-        return 1 if self.full & ~black else 0
+        return 1 if (self.count + self.low) & self.high != self.high else 0
 
     def answer(self) -> int:
         self.ops += 1
@@ -160,21 +173,10 @@ class AllWhiteCounters:
         if self.colors[node] == white:
             return
         self.colors[node] = white
-        x = self.masks[node]
-        slices = self.slices
-        j = 0
-        if white:  # ripple-borrow subtract
-            while x:
-                s = slices[j]
-                slices[j] = s ^ x
-                x &= ~s
-                j += 1
-        else:  # ripple-carry add
-            while x:
-                s = slices[j]
-                slices[j] = s ^ x
-                x &= s
-                j += 1
+        if white:
+            self.count -= self.masks[node]
+        else:
+            self.count += self.masks[node]
 
     def apply(self, token) -> int:
         if token[0] == "c":

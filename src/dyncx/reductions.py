@@ -402,35 +402,57 @@ class CnfInstance:
 
     __post_init__ = validate
 
+    @staticmethod
+    def _unchecked(num_vars, clauses) -> "CnfInstance":
+        """An instance from parts already checked, without a second check."""
+        inst = object.__new__(CnfInstance)
+        inst.num_vars, inst.clauses = num_vars, clauses
+        return inst
+
 
 # a line whose first field is `%`, as in the trailer SATLIB files end with
 _DIMACS_END = re.compile(r"^[^\S\n]*%(?![^\s#])", re.M)
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """DIMACS CNF; a line whose first field is `%` ends the clause list."""
+    """DIMACS CNF; a line whose first field is `%` ends the clause list.
+
+    Each literal is checked against the header's variable count, and each
+    clause for emptiness when its 0 closes it, on the line where that
+    happens, so an error names its line. With every clause checked, the
+    instance is built without a second check.
+    """
     if "%" in text:
         end = _DIMACS_END.search(text)
         if end:
             text = text[: end.start()]  # only the tail goes: line numbers hold
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
+    num_vars = 0
+
+    def start(counts):
+        nonlocal num_vars
+        num_vars = counts[0]
 
     def line(parts, _):
         for tok in parts:
             lit = int(tok)
             if lit == 0:
+                if not pending:
+                    raise ParseError(f"clause {len(clauses) + 1} is empty")
                 clauses.append(tuple(pending))
                 pending.clear()
-            else:
+            elif -num_vars <= lit <= num_vars:
                 pending.append(lit)
+            else:
+                raise ParseError(f"clause {len(clauses) + 1}: literal {lit} out of range")
 
-    num_vars, expected = read_lines(text, line, ("cnf", 2), comment="c")
+    _, expected = read_lines(text, line, ("cnf", 2), comment="c", on_header=start)
     if pending:
         raise ParseError("unterminated clause")
     if len(clauses) != expected:
         raise ParseError(f"header promised {expected} clauses, found {len(clauses)}")
-    return CnfInstance(num_vars, clauses)
+    return CnfInstance._unchecked(num_vars, clauses)
 
 
 def format_dimacs(inst: CnfInstance) -> str:
@@ -438,6 +460,32 @@ def format_dimacs(inst: CnfInstance) -> str:
     for clause in inst.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def _failure_masks(clauses, half: int, width: int, unit: int) -> list[int]:
+    """fails[c]: the first-half assignments u1 that satisfy no first-half
+    literal of clause c, one bit in field u1 of the packed layout each.
+
+    Apart from the driver so that `ones` is freed before the phases run:
+    the masks are w times the size of a plain bit mask."""
+    # ones[v]: the u1 whose bit v is 1. Adding 2^v to u1 flips its bit v+1
+    # exactly when its bit v is 1, so each mask is the one above XOR that
+    # mask shifted down by 2^v fields; `unit` plays the mask above the top one.
+    ones = [0] * half
+    mask = unit
+    for v in reversed(range(half)):
+        mask ^= mask >> (width << v)
+        ones[v] = mask
+    fails = []
+    shared: dict[int, int] = {}  # clauses whose masks are equal share one int
+    for clause in clauses:
+        mask = unit
+        for lit in clause:
+            v = abs(lit) - 1
+            if v < half:
+                mask &= ones[v] if lit < 0 else unit ^ ones[v]
+        fails.append(shared.setdefault(mask, mask))
+    return fails
 
 
 def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None,
@@ -454,15 +502,19 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     order so only status-changing clauses get recolored; total solver
     operations stay within 2^(n/2) * (#clauses + 1).
 
-    The edges are built as one 2^(n/2)-bit failure mask per clause: bit u1
-    is set when u1 fails the clause. A first-half variable's mask (the u1
-    whose bit v is 1) takes one shift and one XOR, and a clause's mask is
-    the AND of its first-half literals' masks or their complements, so
-    the scanned side costs O(n + #literals) big-int operations. The
-    default solver takes these masks as they are
-    (`AllWhiteCounters.from_masks`) and no edge list is built. A caller's
-    `aw_solver` still gets the paper's `AllWhiteInstance`, its edge list
-    read off the masks.
+    The edges are built as one failure mask per clause, in the packed
+    layout of `AllWhiteCounters` (one w-bit field per scanned node, w from
+    `AllWhiteCounters.layout`): bit w*u1 is set when u1 fails the clause.
+    A first-half variable's mask (the u1 whose bit v is 1) takes one shift
+    and one XOR, and a clause's mask is the AND of its first-half
+    literals' masks or their complements, so the scanned side costs
+    O(n + #literals) big-int operations. The default solver takes these
+    masks as they are (`AllWhiteCounters.from_masks`) and no edge list is
+    built. A caller's `aw_solver` still gets the paper's
+    `AllWhiteInstance`, its edge list read off the masks. A phase first
+    recolors the clauses that gain a satisfied literal, then those that
+    lose one, so a clause holding both x and -x of a second-half variable
+    stays white rather than turning black and white again.
     """
     budget = env_budget() if budget is None else budget
     n = cnf.num_vars + (cnf.num_vars % 2)
@@ -472,40 +524,28 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     m = len(cnf.clauses)
 
     num_r = 2 ** half
-    full = (1 << num_r) - 1
-    # ones[v]: the u1 whose bit v is 1. Adding 2^v to u1 flips its bit v+1
-    # exactly when its bit v is 1, so each mask is the one above XOR that
-    # mask shifted down by 2^v; `full` plays the mask above the top one.
-    ones = [0] * half
-    mask = full
-    for v in reversed(range(half)):
-        mask ^= mask >> (1 << v)
-        ones[v] = mask
-    fails = []  # fails[c]: the u1 that satisfy no first-half literal of clause c
-    for clause in cnf.clauses:
-        mask = full
-        for lit in clause:
-            v = abs(lit) - 1
-            if v < half:
-                mask &= ones[v] if lit < 0 else full ^ ones[v]
-        fails.append(mask)
+    width, unit = AllWhiteCounters.layout(m, num_r)
+    fails = _failure_masks(cnf.clauses, half, width, unit)
 
     # phase 0: second half all zeros
     sat2 = [0] * m  # count of satisfied second-half literals per clause
-    occ2: list[list[tuple[int, bool]]] = [[] for _ in range(n - half)]
+    pos: list[list[int]] = [[] for _ in range(n - half)]  # clauses holding +x
+    neg: list[list[int]] = [[] for _ in range(n - half)]  # clauses holding -x
     for c, clause in enumerate(cnf.clauses):
         for lit in clause:
-            v = abs(lit) - 1
-            if v >= half:
-                occ2[v - half].append((c, lit > 0))
-                if lit < 0:
+            v = abs(lit) - 1 - half
+            if v >= 0:
+                if lit > 0:
+                    pos[v].append(c)
+                else:
+                    neg[v].append(c)
                     sat2[c] += 1
     colors = [count > 0 for count in sat2]  # white = satisfied by the half
     if aw_solver is None:
         solver = AllWhiteCounters.from_masks(num_r, fails, colors)
     else:
         edges = [(c, u1) for u1 in range(num_r)
-                 for c, mask in enumerate(fails) if mask >> u1 & 1]
+                 for c, mask in enumerate(fails) if mask >> (width * u1) & 1]
         solver = aw_solver(AllWhiteInstance(m, num_r, edges, colors))
 
     set_color, answer = solver.set_color, solver.answer
@@ -517,16 +557,18 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
             break
         flip = (i & -i).bit_length() - 1
         u2 ^= 1 << flip
-        bit_on = bool((u2 >> flip) & 1)
-        for c, positive in occ2[flip]:
-            if positive == bit_on:
-                sat2[c] += 1
-                if sat2[c] == 1:  # newly satisfied by the half
-                    set_color(c, True)
-            else:
-                sat2[c] -= 1
-                if sat2[c] == 0:  # no longer satisfied by the half
-                    set_color(c, False)
+        if u2 >> flip & 1:
+            gain, lose = pos[flip], neg[flip]
+        else:
+            gain, lose = neg[flip], pos[flip]
+        for c in gain:
+            sat2[c] += 1
+            if sat2[c] == 1:  # newly satisfied by the half
+                set_color(c, True)
+        for c in lose:
+            sat2[c] -= 1
+            if sat2[c] == 0:  # no longer satisfied by the half
+                set_color(c, False)
         phases += 1
         found = answer() == 1
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from dyncx.dnf import DnfInstance, clause, eval_bruteforce
 from dyncx.equiv import (
+    BLACK,
+    WHITE,
     AllWhiteCounters,
     AllWhiteInstance,
     HypergraphInstance,
@@ -69,14 +71,16 @@ def test_aw_counters_track_bruteforce(rng):
 
 
 def edge_masks(inst: AllWhiteInstance) -> list[int]:
+    """The neighbor masks in the packed layout: a 1 in field r per edge (l, r)."""
+    width, _ = AllWhiteCounters.layout(inst.num_l, inst.num_r)
     masks = [0] * inst.num_l
     for l, r in inst.edges:
-        masks[l] |= 1 << r
+        masks[l] |= 1 << (width * r)
     return masks
 
 
 def test_aw_counters_direct_calls_track_bruteforce_and_charge_every_call(rng):
-    # up to 20 L nodes (five count slices) and 70 R nodes (wider than a word)
+    # up to 20 L nodes (six-bit fields) and 70 R nodes (wider than a word)
     for _ in range(80):
         inst = rand_aw(rng, l_hi=20, r_hi=70)
         c = AllWhiteCounters(inst)
@@ -93,7 +97,7 @@ def test_aw_counters_direct_calls_track_bruteforce_and_charge_every_call(rng):
                 assert c.answer() == twin.answer() == aw_bruteforce(inst)
             calls += 1
             assert c.ops == twin.ops == calls
-            assert c.slices == twin.slices
+            assert c.count == twin.count
             assert c.apply(("q",)) == aw_bruteforce(inst)
         assert c.ops == calls  # `apply(("q",))` is not charged
 
@@ -107,14 +111,69 @@ def test_aw_counters_corner_instances():
     assert AllWhiteCounters(AllWhiteInstance(0, 1, [], [])).answer() == 1
 
 
-def test_aw_counters_slices_clear_when_everything_turns_white(rng):
+def test_aw_counters_clear_when_everything_turns_white(rng):
     for _ in range(40):
         inst = rand_aw(rng, l_hi=20, r_hi=70)
         c = AllWhiteCounters(inst)
         for node in rng.sample(range(inst.num_l), inst.num_l):
             c.set_color(node, True)
-        assert all(s == 0 for s in c.slices)
+        assert c.count == 0
         assert c.answer() == (1 if inst.num_r else 0)
+
+
+# |L| at the field-width boundaries: w = |L|.bit_length() + 1 steps up at 1,
+# 2, 4, 8, 16 and 32
+BOUNDARY_L = [0, 1, 3, 4, 7, 8, 15, 16, 31, 32]
+
+
+def packed_fields(c: AllWhiteCounters, num_l: int, num_r: int) -> list[int]:
+    """Every field of `c.count`, guard bit included, read back one by one."""
+    width, _ = AllWhiteCounters.layout(num_l, num_r)
+    assert c.count >> (width * num_r) == 0  # nothing past the last field
+    return [c.count >> (width * r) & ((1 << width) - 1) for r in range(num_r)]
+
+
+def test_aw_counters_layout_at_field_width_boundaries():
+    for num_l in BOUNDARY_L:
+        for num_r in (0, 1, 2, 63, 64, 65, 70):
+            width, unit = AllWhiteCounters.layout(num_l, num_r)
+            assert width == num_l.bit_length() + 1 and num_l < 1 << (width - 1)
+            assert unit == sum(1 << (width * r) for r in range(num_r))
+
+
+def test_aw_counters_fields_hold_the_black_counts_at_width_boundaries(rng):
+    for num_l in BOUNDARY_L:
+        for num_r in (1, 5, 64, 70):
+            edges = [(l, r) for l in range(num_l) for r in range(num_r)
+                     if rng.random() < 0.5]
+            colors = [rng.random() < 0.5 for _ in range(num_l)]
+            inst = AllWhiteInstance(num_l, num_r, edges, colors)
+            c = AllWhiteCounters(inst)
+            nbrs = inst.r_neighbors()
+            for tok in rand_color_stream(rng, num_l, 30):
+                got = c.apply(tok)
+                inst.apply(tok)
+                assert got == aw_bruteforce(inst)
+                assert packed_fields(c, num_l, num_r) == [
+                    sum(not inst.colors[l] for l in nbrs[r]) for r in range(num_r)]
+
+
+def test_aw_counters_complete_bipartite_fills_every_field():
+    # every count reaches |L|, the largest value its field holds below the guard
+    for num_l in BOUNDARY_L[1:]:
+        for num_r in (1, 63, 64, 70):
+            edges = [(l, r) for l in range(num_l) for r in range(num_r)]
+            c = AllWhiteCounters(AllWhiteInstance(num_l, num_r, edges, [BLACK] * num_l))
+            assert packed_fields(c, num_l, num_r) == [num_l] * num_r
+            assert c.answer() == 0
+            for node in range(num_l - 1):
+                c.set_color(node, WHITE)
+                assert c.answer() == 0
+            assert packed_fields(c, num_l, num_r) == [1] * num_r
+            c.set_color(num_l - 1, WHITE)
+            assert c.count == 0 and c.answer() == 1
+            c.set_color(0, BLACK)
+            assert packed_fields(c, num_l, num_r) == [1] * num_r and c.answer() == 0
 
 
 def test_aw_validate_rejects_bad_edges():

@@ -310,6 +310,49 @@ def test_sat_driver_hands_callers_the_papers_edge_list(cnf):
     assert seen == [paper_edge_instance(cnf)]
 
 
+def pinned_3cnfs():
+    """30 seeded random 3-CNF instances near the threshold, n from 8 to 16."""
+    r = random.Random(4260)
+    for _ in range(30):
+        n = r.randint(8, 16)
+        yield CnfInstance(n, [
+            tuple(v if r.random() < 0.5 else -v for v in r.sample(range(1, n + 1), 3))
+            for _ in range(round(4.26 * n))
+        ])
+
+
+# (verdict, phases, ops) per instance, as the driver gave them when each
+# phase still walked its occurrence list in clause order
+PINNED_SAT_COUNTS = [
+    (1, 5, 26), (1, 1, 1), (1, 6, 44), (1, 35, 219), (0, 256, 2372),
+    (1, 11, 102), (0, 256, 1943), (1, 26, 199), (1, 13, 117), (1, 11, 89),
+    (1, 1, 1), (1, 5, 24), (0, 128, 786), (1, 5, 41), (1, 32, 274),
+    (1, 3, 18), (1, 7, 48), (1, 53, 366), (1, 1, 1), (1, 73, 592),
+    (1, 29, 253), (1, 120, 930), (1, 14, 124), (0, 128, 1262), (1, 3, 16),
+    (1, 5, 33), (0, 256, 2094), (1, 16, 115), (0, 256, 1645), (1, 23, 169),
+]
+
+
+def test_sat_driver_counts_are_pinned():
+    # a phase recolors the clauses that gain a satisfied literal before those
+    # that lose one; on clauses without a complementary pair that order
+    # changes no recolor, so every count stays as it was
+    got = []
+    for cnf in pinned_3cnfs():
+        stats: dict = {}
+        got.append((sat_via_allwhite(cnf, stats=stats), stats["phases"], stats["ops"]))
+    assert got == PINNED_SAT_COUNTS
+
+
+def test_sat_driver_keeps_a_complementary_clause_white():
+    # clause 0 holds x3 and -x3, both in the second half, so some literal of
+    # it always holds: no phase recolors it, and each of the 4 phases costs
+    # one answer and nothing else
+    stats: dict = {}
+    assert sat_via_allwhite(CnfInstance(4, [(3, -3), (1,), (-1,)]), stats=stats) == 0
+    assert stats["phases"] == stats["ops"] == 4
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 # ---------------------------------------------------------------------------
@@ -363,3 +406,36 @@ def test_dimacs_rejects_malformed():
         parse_dimacs("p cnf 2 1\n0\n")  # empty clause
     with pytest.raises(ParseError):
         CnfInstance(2, [()]).validate()
+
+
+def test_dimacs_names_the_line_of_a_bad_literal_or_empty_clause():
+    with pytest.raises(ParseError, match="^line 3: '2 -3 0': clause 2: literal -3 out of range"):
+        parse_dimacs("p cnf 2 2\n1 0\n2 -3 0\n")
+    with pytest.raises(ParseError, match="^line 4: '0': clause 2 is empty"):
+        parse_dimacs("c\np cnf 2 2\n1 2 0\n0\n")
+    with pytest.raises(ParseError, match="^line 2: '1 0 0': clause 2 is empty"):
+        parse_dimacs("p cnf 2 2\n1 0 0\n")
+
+
+@st.composite
+def raw_cnfs(draw):
+    """Clause lists that may break `CnfInstance.validate`: literals past
+    num_vars, empty clauses."""
+    n = draw(st.integers(0, 5))
+    literal = st.integers(1, n + 2).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=3).map(tuple), max_size=5))
+    return CnfInstance._unchecked(n, clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_cnfs())
+@example(CnfInstance._unchecked(0, [()]))
+@example(CnfInstance._unchecked(1, [(1,), (2, -1)]))
+def test_parse_dimacs_accepts_exactly_what_validate_accepts(raw):
+    try:
+        CnfInstance(raw.num_vars, raw.clauses)
+    except ParseError:
+        with pytest.raises(ParseError, match=r"^line \d+: "):
+            parse_dimacs(format_dimacs(raw))
+    else:
+        assert parse_dimacs(format_dimacs(raw)) == raw
