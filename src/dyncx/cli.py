@@ -23,6 +23,7 @@ from . import connectivity, dnf, equiv, fdt, oracles, reductions
 from .framework import (
     BOTTOM,
     DyncxError,
+    ParseError,
     UpdateStream,
     constant_prover,
     format_token,
@@ -74,8 +75,11 @@ def _emit(report: RunReport, args) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_stream(path: str | None) -> UpdateStream:
@@ -187,8 +191,7 @@ def cmd_verify(args) -> RunReport:
         inst = _read_dnf(args)
         factory = dnf.DnfVerifier
     else:
-        graph, k = connectivity.parse_graph(_read(getattr(args, "in")))
-        inst = graph
+        inst, k = connectivity.parse_graph(_read(getattr(args, "in")))
         if problem == "conn":
             factory = lambda g: connectivity.ConnVerifier(g, forest_seed=args.seed)  # noqa: E731
         else:
@@ -390,6 +393,10 @@ def cmd_bench(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+def clause_counts(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyncx",
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_complete_demo)
 
     p = sub.add_parser("bench", help="naive vs counters probe costs across m")
-    p.add_argument("--sizes", default="4,16,64,256",
+    p.add_argument("--sizes", type=clause_counts, default="4,16,64,256",
                    help="comma-separated clause counts")
     p.add_argument("--steps", type=int, default=200, help="flips per size")
     p.set_defaults(fn=cmd_bench)
@@ -451,15 +458,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.echo = ["dyncx"] + argv
-    if getattr(args, "sizes", None) is not None and isinstance(args.sizes, str):
-        args.sizes = [int(s) for s in args.sizes.split(",") if s]
     started = time.monotonic()
     try:
         report = args.fn(args)
-    except DyncxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DyncxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_clock = time.monotonic() - started

@@ -12,7 +12,7 @@ Three layers:
   yes/no connectivity answers into an explicitly maintained spanning forest.
   Its default oracle, `ForestConnectivityOracle`, keeps its own spanning
   forest as plain adjacency sets; `RebuildConnectivityOracle` is the
-  brute-force reference.
+  brute-force reference, kept for tests and perfbench's traced factory.
 * `KconnVerifier`: one-round protocol for "is edge connectivity < k";
   the proof is a set of at most k-1 edges whose removal disconnects.
 
@@ -272,8 +272,7 @@ def ghost_edge_prover(verifier: ConnVerifier, token) -> bytes:
 class RebuildConnectivityOracle:
     """Connectivity oracle over a mutable edge set; union-find per query.
 
-    The brute-force reference, and `KconnVerifier`'s default: kconn builds
-    a fresh oracle per candidate proof, where set-up dominates.
+    The brute-force reference, kept for tests and perfbench's traced factory.
     """
 
     def __init__(self, num_nodes: int, edges):
@@ -335,6 +334,12 @@ class ForestConnectivityOracle:
         self.fresh = num_nodes  # the next unused label
         self.components = sum(1 for v in range(num_nodes) if self.label[v] == v)
         self.calls = 0
+
+    def copy(self) -> "ForestConnectivityOracle":
+        dup = object.__new__(ForestConnectivityOracle)
+        dup.__dict__.update(self.__dict__, graph=self.graph.copy(), label=self.label.copy(),
+                            tree=[set(nbrs) for nbrs in self.tree])
+        return dup
 
     def _smaller_tree(self, a, b) -> set[int]:
         """The vertices of the smaller of a's and b's trees, which must
@@ -561,17 +566,16 @@ class KconnVerifier:
     """One-round protocol for "is the graph's edge connectivity below k?".
 
     The proof names at most k-1 edges; the verifier deletes them, asks its
-    connectivity subroutine once, and re-inserts them: 2|S|+1 subroutine
-    touches (routing the step's own update is accounted separately).
+    oracle (whose graph is `self.graph`) once, and re-inserts them: 2|S|+1
+    oracle touches (routing the step's own update is accounted separately).
     """
 
-    def __init__(self, graph: DynamicGraph, k: int, oracle_factory=None):
+    def __init__(self, graph: DynamicGraph, k: int):
         if k < 1:
             raise ParseError("k must be >= 1")
         self.k = k
-        self.graph = graph.copy()
-        self.oracle_factory = oracle_factory or RebuildConnectivityOracle
-        self.conn = self.oracle_factory(graph.num_nodes, graph.edges)
+        self.conn = ForestConnectivityOracle(graph.num_nodes, graph.edges)
+        self.graph = self.conn.graph
         self.last_touches = 0
 
     @property
@@ -588,19 +592,19 @@ class KconnVerifier:
     def copy(self) -> "KconnVerifier":
         dup = object.__new__(KconnVerifier)
         dup.k = self.k
-        dup.graph = self.graph.copy()
-        dup.oracle_factory = self.oracle_factory
-        dup.conn = self.oracle_factory(self.graph.num_nodes, self.graph.edges)
+        dup.conn = self.conn.copy()
+        dup.graph = dup.conn.graph
         dup.last_touches = 0
         return dup
 
     def proof_space(self, token) -> list[bytes]:
-        """Null proof, then edge subsets of size < k, smaller sets first,
-        lexicographic within a size.
+        """Null proof, then subsets of size < k of the edges after the pending
+        update, smaller sets first, lexicographic within a size.
 
         BudgetExceeded, before anything is built, when the space holds more
         than env_budget() proofs."""
-        edges = sorted(self.graph.edges)
+        pending = {tuple(sorted(token[2:]))} if token[0] == "e" else set()
+        edges = sorted(self.graph.edges ^ pending)
         sizes = range(1, min(self.k, len(edges) + 1))
         total = 1 + sum(math.comb(len(edges), size) for size in sizes)
         budget = env_budget()
@@ -615,12 +619,7 @@ class KconnVerifier:
     def step(self, token, proof: bytes) -> VerifierOutput:
         if token[0] == "e":
             _, sign, u, v = token
-            if sign == "+":
-                self.graph.insert(u, v)
-                self.conn.insert(u, v)
-            else:
-                self.graph.delete(u, v)
-                self.conn.delete(u, v)
+            (self.conn.insert if sign == "+" else self.conn.delete)(u, v)
         elif token[0] != "q":
             raise UndecodableUpdate(f"kconn verifier cannot apply {token!r}")
         try:
@@ -641,9 +640,7 @@ class KconnVerifier:
         for u, v in s_edges:
             self.conn.insert(u, v)
         self.last_touches = self.conn.calls - base
-        if disconnected:
-            return VerifierOutput(1, 1)
-        return VerifierOutput(0, 0)
+        return VerifierOutput(1, 1) if disconnected else VerifierOutput(0, 0)
 
 
 def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):

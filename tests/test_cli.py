@@ -315,6 +315,27 @@ def test_missing_file_is_io_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["--in", "--updates"])
+def test_non_utf8_input_exits_2_naming_the_path(which, files, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p graph 3\ne 1 2\n\xff\n")
+    paths = {"--in": files["graph.txt"], "--updates": files["edges.txt"], which: str(bad)}
+    rc = main(["verify", "--problem", "conn", "--in", paths["--in"],
+               "--updates", paths["--updates"]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes", ["abc", "4,x"])
+def test_bench_rejects_sizes_that_are_not_counts(sizes, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--sizes", sizes])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "--sizes" in err and "Traceback" not in err
+
+
 def test_malformed_instance_is_domain_error(tmp_path, capsys):
     path = tmp_path / "bad.dnf"
     path.write_text("p dnf 2 1 1\n9 0\na 0 0\n")

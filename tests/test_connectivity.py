@@ -312,7 +312,19 @@ def test_forest_oracle_matches_the_rebuild_oracle(data):
     ref = RebuildConnectivityOracle(n, edges)
     calls = data.draw(st.lists(st.tuples(st.sampled_from("+-?"), st.sampled_from(pairs)),
                                max_size=40))
-    for kind, pair in calls:
+    # from this call on, a copy stands in for `fast`; the original stays frozen
+    switch = data.draw(st.integers(0, len(calls)))
+    original = frozen = None
+
+    def state(oracle):
+        return (set(oracle.graph.edges), list(oracle.label), [set(t) for t in oracle.tree],
+                oracle.components, oracle.calls)
+
+    for i, (kind, pair) in enumerate(calls):
+        if i == switch:
+            original, fast = fast, fast.copy()
+            frozen = state(original)
+            assert state(fast) == frozen
         if kind == "?" or pair is None:
             assert fast.is_connected() == ref.is_connected() == is_connected(n, edges)
         else:
@@ -331,6 +343,8 @@ def test_forest_oracle_matches_the_rebuild_oracle(data):
         assert fast.components == component_count(n, edges)
         assert fast.is_connected() == is_connected(n, edges)
         ref.is_connected()
+    if original is not None:
+        assert state(original) == frozen
 
 
 def churn(rng, n, m, steps):
@@ -521,6 +535,11 @@ def test_kconn_proof_space_orders_by_size_then_payload():
     assert keys == sorted(keys)
     # 3 singletons + 3 pairs
     assert len(space) == 7
+    # the sets are drawn from the graph as the pending update leaves it
+    assert v.proof_space(("e", "-", 1, 0)) == [
+        BOTTOM, encode_edge(0, 2), encode_edge(1, 2), encode_edge(0, 2) + encode_edge(1, 2)]
+    lone = KconnVerifier(DynamicGraph(2), k=2)
+    assert lone.proof_space(("e", "+", 1, 0)) == [BOTTOM, encode_edge(0, 1)]
 
 
 def test_kconn_completeness_with_mincut_prover(rng):
@@ -619,21 +638,29 @@ def test_graph_file_rejects_garbage():
         parse_graph("p graph 3\nz 1\n")
 
 
-def test_kconn_copy_keeps_the_oracle_factory():
-    built = []
-
-    def counting_factory(n, edges):
-        oracle = RebuildConnectivityOracle(n, edges)
-        built.append(oracle)
-        return oracle
-
+def test_kconn_maximizing_prover_is_complete():
     graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     stream = UpdateStream.parse("e - 1 2\nq\n")
-    transcript = run_protocol(
-        lambda g: KconnVerifier(g, 2, oracle_factory=counting_factory),
-        reward_maximizing_prover(), graph, stream,
-    )
+    transcript = run_protocol(lambda g: KconnVerifier(g, 2), reward_maximizing_prover(),
+                              graph, stream)
     assert transcript.answers() == [0, 1, 1]
-    # one oracle for the verifier, one per simulated candidate proof
-    assert len(built) > 1
-    assert sum(o.calls for o in built[1:]) > 0
+    rng = random.Random(15)
+    for _ in range(24):
+        n, k = rng.randint(2, 8), rng.randint(1, 3)
+        graph = rand_graph(rng, n_hi=n, n_lo=n)
+        stream = rand_edge_stream(rng, graph, 10)
+        transcript = run_protocol(lambda g: KconnVerifier(g, k), reward_maximizing_prover(),
+                                  graph, stream)
+        assert transcript.answers() == replay_truths(
+            graph, stream, lambda g: int(mincut_bruteforce(g)[0] < k))
+
+
+def test_kconn_keeps_one_edge_set_and_copies_it():
+    v = KconnVerifier(DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}), k=2)
+    assert v.graph is v.conn.graph
+    sim = v.copy()
+    assert sim.graph is sim.conn.graph and sim.conn is not v.conn
+    out = sim.step(("e", "-", 1, 2), encode_edge(0, 3))
+    assert (out.x, out.y, sim.last_touches) == (1, 1, 3)
+    assert v.graph.edges == {(0, 1), (1, 2), (2, 3), (0, 3)} and v.conn.calls == 0
+    assert sim.graph.edges == {(0, 1), (2, 3), (0, 3)}
