@@ -393,8 +393,17 @@ def cmd_bench(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 def clause_counts(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s]
+    counts = [_count(s) for s in text.split(",") if s]
+    if not counts:
+        raise argparse.ArgumentTypeError("no clause counts given")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="naive vs counters probe costs across m")
     p.add_argument("--sizes", type=clause_counts, default="4,16,64,256",
                    help="comma-separated clause counts")
-    p.add_argument("--steps", type=int, default=200, help="flips per size")
+    p.add_argument("--steps", type=_count, default=200, help="flips per size")
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -86,7 +86,9 @@ class DynamicGraph:
         return (u, v) if u < v else (v, u)
 
     def has(self, u: int, v: int) -> bool:
-        return self._key(u, v) in self.edges
+        """Is (u, v) an edge? The membership test proof edges are checked
+        by: `_key` keeps out-of-range ids and loops out of `edges`."""
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def insert(self, u: int, v: int):
         key = self._key(u, v)
@@ -186,10 +188,6 @@ class ConnVerifier:
     def proof_space(self, token) -> list[bytes]:
         return [BOTTOM] + [encode_edge(u, v) for u, v in sorted(self.graph.edges)]
 
-    def pairwise_connected(self, u: int, v: int) -> bool:
-        """Query form: are u and v in the same tree of F?"""
-        return self.forest.connected(u, v)
-
     def step(self, token, proof: bytes) -> VerifierOutput:
         if token[0] == "q":
             return VerifierOutput(self._x(), 0)
@@ -211,14 +209,7 @@ class ConnVerifier:
             a, b = decode_edge(proof)
         except ParseError:
             return VerifierOutput(self._x(), -1)
-        valid = (
-            0 <= a < self.graph.num_nodes
-            and 0 <= b < self.graph.num_nodes
-            and a != b
-            and self.graph.has(a, b)
-            and not self.forest.connected(a, b)
-        )
-        if not valid:
+        if not self.graph.has(a, b) or self.forest.connected(a, b):
             return VerifierOutput(self._x(), -1)
         self.forest.link(a, b)
         return VerifierOutput(self._x(), 1)
@@ -526,17 +517,10 @@ class SpanningForestProtocol:
             return False
         a, b = proposal
         u, v = cut_edge
-        if a == b:
-            return False
-        if not (0 <= a < self.graph.num_nodes and 0 <= b < self.graph.num_nodes):
-            return False
-        if (min(a, b), max(a, b)) == (min(u, v), max(u, v)):
-            return False
-        if not self.graph.has(a, b):
-            return False
-        return (
-            self.forest.connected(a, u) and self.forest.connected(b, v)
-        ) or (self.forest.connected(a, v) and self.forest.connected(b, u))
+        # `_delete` has already taken the cut edge out of the graph
+        return self.graph.has(a, b) and (
+            (self.forest.connected(a, u) and self.forest.connected(b, v))
+            or (self.forest.connected(a, v) and self.forest.connected(b, u)))
 
 
 def honest_replacement_prover(protocol: SpanningForestProtocol, cut_edge):
@@ -626,12 +610,11 @@ class KconnVerifier:
             s_edges = decode_edge_set(proof)
         except ParseError:
             return VerifierOutput(0, -1)
-        if len(s_edges) > self.k - 1 or len(set(s_edges)) != len(s_edges):
+        if len(s_edges) > self.k - 1 or len(set(map(frozenset, s_edges))) != len(s_edges):
             return VerifierOutput(0, -1)
-        n = self.graph.num_nodes
         for u, v in s_edges:
             # junk bytes can decode to arbitrary ids: malformed, not fatal
-            if not (0 <= u < n and 0 <= v < n) or u == v or not self.graph.has(u, v):
+            if not self.graph.has(u, v):
                 return VerifierOutput(0, -1)
         base = self.conn.calls
         for u, v in s_edges:

@@ -141,17 +141,6 @@ def eval_bruteforce(inst: DnfInstance) -> int:
     return 0
 
 
-def prune_unused(inst: DnfInstance) -> tuple[DnfInstance, list[int]]:
-    """Drop variables absent from every clause; returns (instance, old ids)."""
-    used = sorted({v for c in inst.clauses for v in c.variables()})
-    remap = {old: new for new, old in enumerate(used)}
-    clauses = [
-        Clause(tuple((remap[v], pos) for v, pos in c.literals)) for c in inst.clauses
-    ]
-    assignment = [inst.assignment[v] for v in used]
-    return DnfInstance(len(used), clauses, assignment, inst.width), used
-
-
 # ---------------------------------------------------------------------------
 # Counter-based dynamic algorithm
 # ---------------------------------------------------------------------------

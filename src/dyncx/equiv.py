@@ -475,8 +475,6 @@ def graph_set_independent(edges, node_set) -> bool:
 # ---------------------------------------------------------------------------
 #
 #   p aw <|L|> <|R|>         then `e <l> <r>` and `c <l> <W|B>` lines
-#   p ov <n> <m>             then one `v <indices>` line per column, `u <bits>`
-#   p hg <n> <m>             then one node-list line per hyperedge, `s <ids>`
 # All ids 1-based.
 
 
@@ -510,59 +508,4 @@ def format_aw(inst: AllWhiteInstance) -> str:
     out += [
         f"c {l + 1} {'W' if white else 'B'}" for l, white in enumerate(inst.colors)
     ]
-    return "\n".join(out) + "\n"
-
-
-def parse_ov(text: str) -> SparseOvInstance:
-    columns = []
-    u = None
-
-    def line(parts, _):
-        nonlocal u
-        if parts[0] == "v":
-            # a bare `v` is an empty column, orthogonal to every u
-            columns.append(sorted(int(tok) - 1 for tok in parts[1:]))
-        elif parts[0] == "u":
-            u = [int(b) for b in parts[1:]]
-            if any(b not in (0, 1) for b in u):
-                raise ParseError("u bits must be 0/1")
-        else:
-            raise ParseError("unknown line")
-
-    n, m = read_lines(text, line, ("ov", 2))
-    if len(columns) != m:
-        raise ParseError(f"header says {m} columns, file has {len(columns)}")
-    if u is None:
-        u = [0] * n
-    return SparseOvInstance(n, m, columns, u)
-
-
-def format_ov(inst: SparseOvInstance) -> str:
-    out = [f"p ov {inst.n} {inst.m}"]
-    out += [" ".join(["v"] + [str(i + 1) for i in col]) for col in inst.columns]
-    out.append("u " + " ".join(str(b) for b in inst.u))
-    return "\n".join(out) + "\n"
-
-
-def parse_hypergraph(text: str) -> HypergraphInstance:
-    hyperedges = []
-    s: set[int] = set()
-
-    def line(parts, _):
-        nonlocal s
-        if parts[0] == "s":
-            s = {int(tok) - 1 for tok in parts[1:]}
-        else:
-            hyperedges.append(tuple(sorted(int(tok) - 1 for tok in parts)))
-
-    n, m = read_lines(text, line, ("hg", 2))
-    if len(hyperedges) != m:
-        raise ParseError(f"header says {m} hyperedges, file has {len(hyperedges)}")
-    return HypergraphInstance(n, hyperedges, s)
-
-
-def format_hypergraph(inst: HypergraphInstance) -> str:
-    out = [f"p hg {inst.num_nodes} {len(inst.hyperedges)}"]
-    out += [" ".join(str(v + 1) for v in e) for e in inst.hyperedges]
-    out.append("s " + " ".join(str(v + 1) for v in sorted(inst.s)))
     return "\n".join(out) + "\n"

@@ -4,9 +4,9 @@ Everything here is the slow, obviously-correct route: union-find rebuilt
 from scratch, BFS all-pairs distances, Edmonds-Karp flow, iterative Tarjan.
 The reduction decoders, `RebuildConnectivityOracle`, the min-cut brute
 force and the --check paths lean on these. The dynamic structures are the
-fast route and check against this module rather than call it; the one
-exception is `forest.DynamicForest.build`, which picks the greedy forest
-it lays out with `UnionFind`.
+fast route and check against this module rather than call it; the two
+exceptions pick their initial greedy forest with `UnionFind`:
+`forest.DynamicForest.build` and `connectivity.ForestConnectivityOracle`.
 """
 
 from __future__ import annotations

@@ -336,6 +336,19 @@ def test_bench_rejects_sizes_that_are_not_counts(sizes, capsys):
     assert "--sizes" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--sizes=-4,0", "--steps", "3"], "--sizes"),
+    (["--sizes", ","], "--sizes"),
+    (["--steps", "-5"], "--steps"),
+], ids=["negative-size", "no-sizes", "negative-steps"])
+def test_bench_rejects_negative_or_missing_work(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--table", "bench", *argv])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert flag in err and "Traceback" not in err
+
+
 def test_malformed_instance_is_domain_error(tmp_path, capsys):
     path = tmp_path / "bad.dnf"
     path.write_text("p dnf 2 1 1\n9 0\na 0 0\n")

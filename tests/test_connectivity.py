@@ -90,6 +90,18 @@ def test_tree_edge_deletion_outcomes():
     assert (out.x, out.y) == (0, -1)
 
 
+@pytest.mark.parametrize("proof", [encode_edge(1, 9), encode_edge(1, 1), encode_edge(0, 1)],
+                         ids=["out-of-range", "self-loop", "just-deleted"])
+def test_a_proof_edge_outside_the_graph_hurts_without_a_probe(proof):
+    conceded = ConnVerifier(triangle())
+    conceded.step(("e", "-", 0, 1), BOTTOM)
+    v = ConnVerifier(triangle())
+    out = v.step(("e", "-", 0, 1), proof)
+    assert (out.x, out.y) == (0, -1)
+    # graph membership alone refuses it: the metered `connected` never runs
+    assert v.forest.meter.count == conceded.forest.meter.count
+
+
 def test_non_tree_deletion_and_insert_ignore_proofs():
     v = ConnVerifier(triangle())
     out = v.step(("e", "-", 1, 2), encode_edge(0, 1))
@@ -107,12 +119,6 @@ def test_ghost_edge_proposal_is_rejected():
     proof = ghost_edge_prover(v, ("e", "-", *tree_edge))
     out = v.step(("e", "-", *tree_edge), proof)
     assert out.y == -1
-
-
-def test_pairwise_query_form():
-    v = ConnVerifier(DynamicGraph(4, {(0, 1), (2, 3)}))
-    assert v.pairwise_connected(0, 1)
-    assert not v.pairwise_connected(1, 2)
 
 
 def test_completeness_with_honest_prover(rng):
@@ -291,6 +297,16 @@ def test_stubborn_prover_desyncs_and_stays_invalid():
     assert not report.valid
     report = protocol.apply(("e", "+", 0, 2))
     assert not report.valid
+
+
+@pytest.mark.parametrize("proposal", [(1, 9), (1, 1), (0, 1), (1, 0)],
+                         ids=["out-of-range", "self-loop", "cut-edge", "cut-edge-reversed"])
+def test_a_replacement_outside_the_graph_desyncs(proposal):
+    graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    protocol = SpanningForestProtocol(graph, prover=lambda protocol, cut: proposal)
+    assert protocol.forest.has_edge(0, 1)
+    report = protocol.apply(("e", "-", 0, 1))
+    assert not report.valid and protocol.desynced
 
 
 def test_desynced_protocol_still_refuses_foreign_tokens():
@@ -513,11 +529,22 @@ def test_kconn_step_outcomes():
     assert (out.x, out.y) == (0, 0)
 
     # ghost edges and oversized or duplicated sets are malformed
-    out = cyc.copy().step(("q",), encode_edge(1, 9) if False else encode_edge(0, 1) * 2)
-    assert (out.x, out.y) == (0, -1)
     three = KconnVerifier(DynamicGraph(4, {(0, 1), (1, 2), (2, 3)}), k=3)
-    out = three.copy().step(("q",), encode_edge(0, 3))
-    assert (out.x, out.y) == (0, -1)
+    reversed_01 = (1).to_bytes(4, "big") + (0).to_bytes(4, "big")
+    for verifier, proof in [
+        (cyc, encode_edge(1, 9)),  # out of range
+        (cyc, encode_edge(1, 1)),  # self-loop
+        (cyc, encode_edge(0, 1) * 2),  # oversized for k = 2
+        (three, encode_edge(0, 1) * 2),  # duplicated
+        (three, encode_edge(0, 1) + reversed_01),  # duplicated, one end swapped
+        (three, encode_edge(0, 3)),  # not an edge
+    ]:
+        trial = verifier.copy()
+        out = trial.step(("q",), proof)
+        assert (out.x, out.y) == (0, -1)
+        # a refused proof leaves the oracle untouched
+        assert trial.conn.calls == verifier.conn.calls
+        assert trial.graph == verifier.graph
 
 
 def test_kconn_counts_oracle_touches():

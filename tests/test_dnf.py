@@ -26,7 +26,6 @@ from dyncx.dnf import (
     format_dnf,
     honest_dnf_prover,
     parse_dnf,
-    prune_unused,
 )
 from dyncx.framework import (
     BOTTOM,
@@ -216,13 +215,6 @@ def test_naive_and_counters_match_over_streams(rng):
         b = NaiveAlgorithm(inst)
         for tok in rand_flip_stream(rng, inst.num_vars, 40):
             assert a.apply(tok) == b.apply(tok)
-
-
-def test_prune_unused_keeps_answers(rng):
-    inst = DnfInstance(5, [clause(1, -3)], [1, 0, 0, 1, 1], 2)
-    small, kept = prune_unused(inst)
-    assert small.num_vars == 2 and kept == [0, 2]
-    assert eval_bruteforce(small) == eval_bruteforce(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from dyncx.equiv import (
     aw_to_ov,
     dnf_to_aw,
     format_aw,
-    format_hypergraph,
-    format_ov,
     graph_set_independent,
     hypergraph_lift,
     indep_bruteforce,
@@ -26,8 +24,6 @@ from dyncx.equiv import (
     ov_bruteforce,
     ov_to_aw,
     parse_aw,
-    parse_hypergraph,
-    parse_ov,
     transpose,
 )
 from dyncx.fdt import parse_trees
@@ -359,38 +355,20 @@ def test_aw_parse_format_round_trip(rng):
         assert again.colors == inst.colors
 
 
-def test_ov_and_hypergraph_round_trips(rng):
-    ov = SparseOvInstance(3, 2, [[0, 2], []], [1, 0, 1])
-    assert parse_ov(format_ov(ov)) == ov
-    hg = HypergraphInstance(4, [(0, 2), (1, 2, 3)], {1, 3})
-    again = parse_hypergraph(format_hypergraph(hg))
-    assert (again.num_nodes, again.hyperedges, again.s) == (4, hg.hyperedges, hg.s)
-
-
 @pytest.mark.parametrize(
     "parse, text, lineno",
     [
-        (parse_ov, "p ov x 1\nv 1\n", 1),
-        (parse_ov, "p ov 2 1\nv 1 a\n", 2),
-        (parse_hypergraph, "p hg 2 1\n1 z\n", 2),
         (parse_trees, "T\nE 1 1 1\nm 0 x\n", 3),
-        (parse_hypergraph, "p hg -2 0\n", 1),
         (parse_aw, "p aw 1 -2\n", 1),
-        # the comment is no column, and a column line needs its `v` tag
-        (parse_ov, "p ov 2 2\n# note\n1 2\nu 0 0\n", 3),
-        (parse_ov, "p ov 1 1\nv 1\nu 5\n", 3),
     ],
-    ids=["ov-header", "ov-column", "hyperedge", "tree-memory", "hg-negative-count",
-         "aw-negative-count", "ov-comment-then-untagged-column", "ov-u-not-a-bit"],
+    ids=["tree-memory", "aw-negative-count"],
 )
 def test_non_integer_field_is_a_parse_error_naming_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=f"^line {lineno}:"):
         parse(text)
 
 
-def test_empty_hyperedge_rejected_in_files_but_meaningful_in_memory():
-    with pytest.raises(ParseError):
-        parse_hypergraph("p hg 2 1\n\ns 1\n")
+def test_empty_hyperedge_is_meaningful_in_memory():
     # in memory it must stay legal: an isolated scanned node is vacuously
     # all-white, and its image under aw_to_indep is an empty hyperedge
     aw = AllWhiteInstance(1, 1, [], [True])

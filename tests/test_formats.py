@@ -18,11 +18,7 @@ from dyncx.equiv import (
     HypergraphInstance,
     SparseOvInstance,
     format_aw,
-    format_hypergraph,
-    format_ov,
     parse_aw,
-    parse_hypergraph,
-    parse_ov,
 )
 from dyncx.fdt import (
     DecisionTree,
@@ -44,10 +40,6 @@ from dyncx.reductions import (
 )
 
 bits = st.integers(0, 1)
-
-
-def subsets(n, min_size=0):
-    return st.lists(st.integers(0, n - 1), min_size=min_size, unique=True).map(sorted)
 
 
 @st.composite
@@ -81,20 +73,6 @@ def all_whites(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     colors = draw(st.lists(st.booleans(), min_size=num_l, max_size=num_l))
     return AllWhiteInstance(num_l, num_r, edges, colors)
-
-
-@st.composite
-def ovs(draw):
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    columns = draw(st.lists(subsets(n), min_size=m, max_size=m))  # empty ones too
-    return SparseOvInstance(n, m, columns, draw(st.lists(bits, min_size=n, max_size=n)))
-
-
-@st.composite
-def hypergraphs(draw):
-    n = draw(st.integers(1, 5))
-    hyperedges = draw(st.lists(subsets(n, min_size=1).map(tuple), max_size=4))
-    return HypergraphInstance(n, hyperedges, set(draw(subsets(n))))
 
 
 @st.composite
@@ -147,8 +125,6 @@ FORMATS = {
     "dnf": (dnfs(), format_dnf, parse_dnf, "c"),
     "graph": (graphs(), lambda gk: format_graph(*gk), parse_graph, None),
     "aw": (all_whites(), format_aw, parse_aw, None),
-    "ov": (ovs(), format_ov, parse_ov, None),
-    "hg": (hypergraphs(), format_hypergraph, parse_hypergraph, None),
     "trees": (tree_sets(), format_trees, parse_trees, None),
     "cnf": (cnfs(), format_dimacs, parse_dimacs, "c"),
 }
@@ -191,7 +167,7 @@ soup = st.lists(
     max_size=8,
 ).map("\n".join)
 # a header of the right shape first, so the body reaches the line handler
-HEADERS = {"dnf": 3, "graph": 1, "aw": 2, "ov": 2, "hg": 2, "cnf": 2}
+HEADERS = {"dnf": 3, "graph": 1, "aw": 2, "cnf": 2}
 
 
 def headed(name):
