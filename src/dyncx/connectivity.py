@@ -64,7 +64,8 @@ class DynamicGraph:
     """Undirected simple graph on a fixed node set.
 
     `adj[v]` is v's neighbour set, kept in step with `edges`; equality
-    compares the node count and edge set only.
+    compares the node count and edge set only. Vertices are 0-based, but
+    error messages name them by the graph file's 1-based ids.
     """
 
     num_nodes: int
@@ -82,7 +83,7 @@ class DynamicGraph:
         if u == v:
             raise ParseError("self-loops are not allowed")
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-            raise ParseError(f"edge ({u},{v}) out of range")
+            raise ParseError(f"edge ({u + 1},{v + 1}) out of range")
         return (u, v) if u < v else (v, u)
 
     def has(self, u: int, v: int) -> bool:
@@ -93,7 +94,7 @@ class DynamicGraph:
     def insert(self, u: int, v: int):
         key = self._key(u, v)
         if key in self.edges:
-            raise DuplicateEdge(f"edge {key} already present")
+            raise DuplicateEdge(f"edge ({key[0] + 1},{key[1] + 1}) already present")
         self.edges.add(key)
         self.adj[u].add(v)
         self.adj[v].add(u)
@@ -101,7 +102,7 @@ class DynamicGraph:
     def delete(self, u: int, v: int):
         key = self._key(u, v)
         if key not in self.edges:
-            raise UnknownEdge(f"edge {key} not present")
+            raise UnknownEdge(f"edge ({key[0] + 1},{key[1] + 1}) not present")
         self.edges.remove(key)
         self.adj[u].discard(v)
         self.adj[v].discard(u)
@@ -526,14 +527,16 @@ class SpanningForestProtocol:
 def honest_replacement_prover(protocol: SpanningForestProtocol, cut_edge):
     """The smallest graph edge between the two trees the cut left, or None.
 
-    Walks the smaller tree only, O(vol(smaller tree)) plus the walk, and
-    reads the forest without its meter.
+    Climbs from u and from v once each, then walks the smaller tree only
+    (u's on a tie), O(vol(smaller tree)) plus the walk, and reads the forest
+    without its meter.
     """
     u, v = cut_edge
     forest = protocol.forest
-    side = forest.smaller_tree(u, v)
-    far = v if forest.tree_of(side[0]) is forest.tree_of(u) else u
-    return _lightest_link(protocol.graph, forest, side, forest.tree_of(far), None)
+    tree_u, tree_v = forest.tree_of(u), forest.tree_of(v)
+    if tree_u.size > tree_v.size:
+        u, tree_v = v, tree_u
+    return _lightest_link(protocol.graph, forest, forest.tree_vertices(u), tree_v, None)
 
 
 def stubborn_replacement_prover(protocol: SpanningForestProtocol, cut_edge):

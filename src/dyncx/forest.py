@@ -7,14 +7,17 @@ cut splits the tour around the arc pair. All paths from a public method
 touch O(depth) treap nodes; priorities come from a seeded RNG, so probe
 counts are reproducible and can be held to a per-operation budget.
 
-Treap subtrees carry the minimum self-arc vertex id, which makes "smallest
-node in this component" a root lookup.
+Treap subtrees carry their size and the minimum self-arc vertex id, which
+makes "smallest node in this component" a root lookup. Split and merge
+refresh both on the way down their path: merge needs no pass back up, and
+split only one for the minima. Cut pops each edge arc off the front of
+what follows it, with the probe count of the one-arc split it replaces.
 
 `build` lays a whole greedy forest out in one pass (a DFS tour per tree,
-treaps by Cartesian-tree construction). `tree_of`, `tree_vertices`,
-`smaller_tree` and `smaller_side` are read-only tour walks for provers
-searching a cut: they charge no meter and draw no priorities, so the
-forest's own per-operation budgets and seeded shapes are untouched.
+treaps by Cartesian-tree construction). `tree_of`, `tree_vertices` and
+`smaller_side` are read-only tour walks for provers searching a cut: they
+charge no meter and draw no priorities, so the forest's own per-operation
+budgets and seeded shapes are untouched.
 """
 
 from __future__ import annotations
@@ -94,38 +97,35 @@ def _climb(x: _Arc) -> tuple[_Arc, int, int]:
     return x, depth, pos
 
 
-def _vertices(root: _Arc, lo: int, hi: int) -> list[int]:
-    """Self-arc vertices at in-order positions lo..hi-1 of root's treap.
+def _walk(x: _Arc, end: _Arc) -> list[int]:
+    """Self-arc vertices strictly after x and before end in their tour,
+    read cyclically: past the last arc the walk goes on from the first. With
+    end x itself, that is every vertex but x's own.
 
-    Depth-first, each node before its right subtree and that before its left
-    one. A subtree wholly inside the range is walked without positions.
-    """
+    Each step goes to the in-order successor, so the walk costs O(depth)
+    plus O(1) per arc passed, amortized."""
     out = []
-    stack = [(root, 0)]
-    while stack:
-        t, base = stack.pop()
-        if base >= hi or base + t.size <= lo:
-            continue
-        if lo <= base and base + t.size <= hi:
-            inner = [t]
-            while inner:
-                x = inner.pop()
-                if x.u == x.v:
-                    out.append(x.u)
-                if x.left is not None:
-                    inner.append(x.left)
-                if x.right is not None:
-                    inner.append(x.right)
-            continue
-        left = t.left
-        pos = base + (left.size if left is not None else 0)
-        if lo <= pos < hi and t.u == t.v:
-            out.append(t.u)
-        if left is not None:
-            stack.append((left, base))
-        if t.right is not None:
-            stack.append((t.right, pos + 1))
-    return out
+    while True:
+        if x.right is not None:
+            x = x.right
+            while x.left is not None:
+                x = x.left
+        else:
+            while True:
+                up = x.parent
+                if up is None:
+                    # past the tour's last arc: go on from its first
+                    while x.left is not None:
+                        x = x.left
+                    break
+                if up.left is x:
+                    x = up
+                    break
+                x = up
+        if x is end:
+            return out
+        if x.u == x.v:
+            out.append(x.u)
 
 
 def _cartesian(arcs: list[_Arc]) -> _Arc:
@@ -148,13 +148,30 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
     return spine[0]
 
 
+def _pull_min(x: _Arc | None):
+    """Recompute minimum self-arc vertex ids from x up the parent chain,
+    each node from its children; sizes are left as they are."""
+    while x is not None:
+        mn = x.own
+        left = x.left
+        if left is not None and left.min_vertex < mn:
+            mn = left.min_vertex
+        right = x.right
+        if right is not None and right.min_vertex < mn:
+            mn = right.min_vertex
+        x.min_vertex = mn
+        x = x.parent
+
+
 def _split(t: _Arc | None, k: int):
     """(first k arcs, the rest) of treap t, and the number of nodes on the
     path split walked down.
 
     The path's nodes are dealt to the two results top-down, each result's
-    share forming one chain from its root; then each chain's sizes and
-    minima are recomputed bottom-up.
+    share forming one chain from its root, and each node's size is set on
+    the way: a node kept on the left holds exactly the k arcs still to be
+    dealt, a node sent right its old size less those k. Only the minima
+    need the finished chains, so they alone are recomputed bottom-up.
     """
     walked = 0
     left_root = right_root = None
@@ -165,6 +182,7 @@ def _split(t: _Arc | None, k: int):
         left_size = below.size if below is not None else 0
         if k <= left_size:
             # t and its right subtree go right; split t's left subtree next
+            t.size -= k
             if right_tail is None:
                 right_root = t
             else:
@@ -172,6 +190,7 @@ def _split(t: _Arc | None, k: int):
             t.parent = right_tail
             right_tail = t
         else:
+            t.size = k
             k -= left_size + 1
             below = t.right
             if left_tail is None:
@@ -185,8 +204,8 @@ def _split(t: _Arc | None, k: int):
         left_tail.right = None
     if right_tail is not None:
         right_tail.left = None
-    _pull_up(left_tail)
-    _pull_up(right_tail)
+    _pull_min(left_tail)
+    _pull_min(right_tail)
     return left_root, right_root, walked
 
 
@@ -196,38 +215,83 @@ def _merge(a: _Arc | None, b: _Arc | None):
 
     The lower priority of the two current roots goes on the path; a node
     from a keeps its left subtree and merges on to its right, a node from b
-    the mirror image. Then sizes and minima are recomputed bottom-up, from
-    the path's last node to the root.
+    the mirror image. Either way the node gains the other side's untouched
+    remainder below it, so its size and minimum are refreshed top-down, as
+    it joins the path, with no pass back up. The path alternates between
+    runs down a's right spine and b's left spine; nodes within a run are
+    already linked, so only a run's first node is relinked.
     """
     if a is None:
         return b, 0
     if b is None:
         return a, 0
     walked = 0
-    root = prev = None
-    prev_from_a = False
-    while a is not None and b is not None:
+    root = a if a.prio < b.prio else b
+    prev = None
+    while True:
         if a.prio < b.prio:
-            node, a, from_a = a, a.right, True
+            if prev is not None:
+                prev.left = a
+            a.parent = prev
+            size, mn, prio = b.size, b.min_vertex, b.prio
+            while True:
+                walked += 1
+                a.size += size
+                if mn < a.min_vertex:
+                    a.min_vertex = mn
+                below = a.right
+                if below is None:
+                    a.right = b
+                    b.parent = a
+                    return root, walked
+                if below.prio >= prio:
+                    break
+                a = below
+            prev, a = a, below
         else:
-            node, b, from_a = b, b.left, False
-        if prev is None:
-            root = node
-        elif prev_from_a:
-            prev.right = node
-        else:
-            prev.left = node
-        node.parent = prev
+            if prev is not None:
+                prev.right = b
+            b.parent = prev
+            size, mn, prio = a.size, a.min_vertex, a.prio
+            while True:
+                walked += 1
+                b.size += size
+                if mn < b.min_vertex:
+                    b.min_vertex = mn
+                below = b.left
+                if below is None:
+                    b.left = a
+                    a.parent = b
+                    return root, walked
+                if prio < below.prio:
+                    break
+                b = below
+            prev, b = b, below
+
+
+def _pop_first(x: _Arc):
+    """The treap x leads with the edge arc x taken out, and the number of
+    nodes `_split(root, 1)` would walk: x's ancestors down to it and on down
+    the left spine of x's right subtree, which takes x's place. x owns no
+    vertex, so only its ancestors' sizes change, each by one."""
+    rest = x.right
+    walked = 1
+    below = rest
+    while below is not None:
         walked += 1
-        prev, prev_from_a = node, from_a
-    rest = a if a is not None else b
-    if prev_from_a:
-        prev.right = rest
-    else:
-        prev.left = rest
-    rest.parent = prev
-    _pull_up(prev)
-    return root, walked
+        below = below.left
+    up = x.parent
+    if rest is not None:
+        rest.parent = up
+    if up is None:
+        return rest, walked
+    up.left = rest
+    while True:
+        walked += 1
+        up.size -= 1
+        if up.parent is None:
+            return up, walked
+        up = up.parent
 
 
 def _rotate(root: _Arc, pos: int):
@@ -261,8 +325,9 @@ class DynamicForest:
     #
     # Probe accounting: a root lookup from x costs depth(x) + 1, a position
     # lookup depth(x), and a split or merge 2 per node on its path (the visit
-    # and the size/minimum refresh). Each operation sums its probes and adds
-    # them to the meter once, before `end_op` checks the budget.
+    # and the size/minimum refresh); an arc pop is charged as the one-arc
+    # split it stands for. Each operation sums its probes and adds them to
+    # the meter once, before `end_op` checks the budget.
 
     def _check(self, v: int):
         if not 0 <= v < self.n:
@@ -322,19 +387,20 @@ class DynamicForest:
             raise NotTreeEdge(f"({u},{v}) is not a forest edge")
         meter = self.meter
         meter.start_op()
-        root, depth_i, i = _climb(self._edge_arc[(u, v)])
-        _, depth_j, j = _climb(self._edge_arc[(v, u)])
+        down = self._edge_arc[(u, v)]
+        up = self._edge_arc[(v, u)]
+        root, depth_i, i = _climb(down)
+        _, depth_j, j = _climb(up)
         if i > j:
-            i, j = j, i
+            down, up, i, j = up, down, j, i
             depth_i, depth_j = depth_j, depth_i
         # two position lookups, then the root lookup from the earlier arc
         probes = depth_i + depth_j + depth_i + 1
-        a, rest, s1 = _split(root, i)
-        _, rest, s2 = _split(rest, 1)  # drop the down arc
-        mid, tail, s3 = _split(rest, j - i - 1)
-        _, c, s4 = _split(tail, 1)  # drop the up arc
+        a, _, s1 = _split(root, i)
+        rest, s2 = _pop_first(down)  # the down arc leads what follows a
+        _, _, s3 = _split(rest, j - i - 1)  # the inside stays as its own tour
+        c, s4 = _pop_first(up)  # and the up arc leads the tail
         _, m = _merge(a, c)
-        # mid stays as its own tour
         del self._edge_arc[(u, v)]
         del self._edge_arc[(v, u)]
         self._edges -= 1
@@ -417,28 +483,28 @@ class DynamicForest:
         return _top(self._self_arc[v])
 
     def tree_vertices(self, v: int) -> list[int]:
-        """The vertices of v's tree, in no set order."""
-        root = self.tree_of(v)
-        return _vertices(root, 0, root.size)
-
-    def smaller_tree(self, u: int, v: int) -> list[int]:
-        """The vertices of the smaller of u's and v's trees (u's on a tie)."""
-        return self.tree_vertices(u if self.tree_of(u).size <= self.tree_of(v).size else v)
+        """The vertices of v's tree, in tour order from v."""
+        self._check(v)
+        arc = self._self_arc[v]
+        return [v] + _walk(arc, arc)
 
     def smaller_side(self, u: int, v: int) -> list[int]:
         """The vertices of the smaller side that `cut(u, v)` would leave,
         without cutting: the arcs strictly between the edge's two arcs form
-        one side's tour, the rest of the tour the other's."""
+        one side's tour, the rest of the tour, read on from the later arc
+        round to the earlier one, the other's."""
         if (u, v) not in self._edge_arc:
             raise NotTreeEdge(f"({u},{v}) is not a forest edge")
-        root, _, i = _climb(self._edge_arc[(u, v)])
-        j = _climb(self._edge_arc[(v, u)])[2]
+        down = self._edge_arc[(u, v)]
+        up = self._edge_arc[(v, u)]
+        root, _, i = _climb(down)
+        j = _climb(up)[2]
         if i > j:
-            i, j = j, i
+            down, up, i, j = up, down, j, i
         inside = j - i - 1
         if inside <= root.size - inside - 2:
-            return _vertices(root, i + 1, j)
-        return _vertices(root, 0, i) + _vertices(root, j + 1, root.size)
+            return _walk(down, up)
+        return _walk(up, down)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for (u, v) in self._edge_arc if u < v]

@@ -356,6 +356,33 @@ def test_malformed_instance_is_domain_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("problem", ["conn", "spanning-forest"])
+@pytest.mark.parametrize("update, message", [
+    ("e + 1 9", "error: edge (1,9) out of range"),
+    ("e + 2 1", "error: edge (1,2) already present"),
+    ("e - 1 3", "error: edge (1,3) not present"),
+], ids=["out-of-range", "duplicate", "unknown"])
+def test_bad_graph_update_names_the_file_ids(problem, update, message, files, capsys):
+    stream = Path(files["edges.txt"]).with_name("bad.txt")
+    stream.write_text(f"q\n{update}\n")
+    rc = main(["verify", "--problem", problem, "--in", files["graph.txt"],
+               "--updates", str(stream)])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e 2 9", "line 6: 'e 2 9': edge (2,9) out of range"),
+    ("e 4 3", "line 6: 'e 4 3': edge (3,4) already present"),
+], ids=["out-of-range", "duplicate"])
+def test_bad_graph_file_line_names_the_file_ids(line, message, tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text(GRAPH_TEXT + line + "\n")
+    rc = main(["verify", "--problem", "conn", "--in", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_json_output_is_deterministic(files, capsys):
     argv = ["verify", "--problem", "conn", "--in", files["graph.txt"],
             "--updates", files["edges.txt"], "--check"]

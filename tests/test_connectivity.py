@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -450,6 +453,31 @@ def test_forest_meter_counts_are_pinned():
         assert protocol.apply(token).valid
     counts.append(protocol.forest.meter.count)
     assert counts == [0, 10731, 297, 12325]
+
+
+def test_forest_meter_counts_are_pinned_at_perfbench_size():
+    """The same pin on perfbench's graph-cut scale (n = 300, m = 900, 300
+    edits, 80% of them deletions), where treaps run deep enough for every
+    split, merge, arc pop and arc append to matter: the probe totals and
+    the bytes of the verifier's transcript and the protocol's reports."""
+    graph, stream = churn(random.Random(17), 300, 900, 300)
+    verifiers = []
+
+    def factory(g):
+        verifiers.append(ConnVerifier(g, forest_seed=5))
+        return verifiers[0]
+
+    transcript = run_protocol(factory, honest_conn_prover, graph, stream)
+    protocol = SpanningForestProtocol(graph, forest_seed=5)
+    counts = [verifiers[0].forest.meter.count, protocol.forest.meter.count]
+    reports = [protocol.initial_report()] + [protocol.apply(token) for token in stream]
+    counts.append(protocol.forest.meter.count)
+    assert counts == [25430, 3480, 31711]
+    assert all(report.valid for report in reports)
+    rows = json.dumps([[record.to_dict() for record in transcript.records],
+                       [dataclasses.asdict(report) for report in reports]]).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "08549d42dc2585598c82446e3acd7d79756d3e83649bc9c0817891e0405f586e")
 
 
 @pytest.mark.parametrize("prover", [None, stubborn_replacement_prover])

@@ -3,7 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncx.forest import INF, DynamicForest, NotTreeEdge, WouldCycle, _Arc, _vertices
+from dyncx.forest import INF, DynamicForest, NotTreeEdge, WouldCycle, _Arc, _climb, _walk
 from dyncx.framework import BudgetExceeded, polylog_budget
 from dyncx.oracles import component_count, components
 
@@ -235,6 +235,7 @@ def test_tour_walks_read_without_metering_or_drawing(rng):
         comp = components(n, edges)
         w = rng.randrange(n)
         assert sorted(f.tree_vertices(w)) == [x for x in range(n) if comp[x] == comp[w]]
+        assert f.tree_vertices(w)[0] == w
         a, b = rng.choice(sorted(edges))
         side = f.smaller_side(a, b)
         rest = components(n, edges - {(a, b)})
@@ -242,10 +243,6 @@ def test_tour_walks_read_without_metering_or_drawing(rng):
                  [x for x in range(n) if rest[x] == rest[b]])
         assert sorted(side) in sides and len(side) == min(map(len, sides))
         c, d = rng.sample(range(n), 2)
-        trees = ([x for x in range(n) if comp[x] == comp[c]],
-                 [x for x in range(n) if comp[x] == comp[d]])
-        smaller = f.smaller_tree(c, d)
-        assert sorted(smaller) in trees and len(smaller) == min(map(len, trees))
         assert (f.tree_of(c) is f.tree_of(d)) == (comp[c] == comp[d])
         assert (f.meter.count, f._rng.getstate()) == (probes, state)
     with pytest.raises(NotTreeEdge):
@@ -520,8 +517,56 @@ def test_tiny_budget_trips_on_the_same_op_in_both():
     assert trips[0] == 0 and 0 < trips[1] < trips[2]
 
 
+def cut_positions(n, build_edges, ops, u, v):
+    """Before cutting (u, v) after `ops`: the in-order positions of the
+    edge's earlier and later arcs, and its tree's arc count. Tour order
+    comes from links and cuts alone, not from priorities."""
+    f = DynamicForest(n)
+    f.build(build_edges)
+    for op in ops:
+        run_op(f, op)
+    root, _, i = _climb(f._edge_arc[(u, v)])
+    j = _climb(f._edge_arc[(v, u)])[2]
+    return min(i, j), max(i, j), root.size
+
+
+PATH_65 = [(i, i + 1) for i in range(63)]  # node 64 stays alone
+
+
+@pytest.mark.parametrize("n, build_edges, ops, where", [
+    # a tree's tour can start with an edge arc once links have spliced
+    # arcs in behind a down arc and a cut has dropped the prefix
+    (5, [], [("link", 4, 1), ("link", 3, 2), ("link", 0, 4), ("link", 2, 1),
+             ("cut", 4, 1), ("cut", 4, 0)], "down arc first"),
+    # a built path's tour ends with the up arc of its first edge
+    (3, [(0, 1), (1, 2)], [("cut", 0, 1)], "up arc last"),
+    (3, [(0, 1), (1, 2)], [("cut", 2, 1)], "singleton inside"),
+    (6, [(i, i + 1) for i in range(5)], [("cut", 1, 0)], "singleton outside"),
+    (2, [(0, 1)], [("cut", 1, 0)], "two singletons"),
+    (2, [], [("link", 0, 1), ("cut", 0, 1), ("link", 1, 0)], "link two singletons"),
+    (65, PATH_65, [("link", 64, 30), ("cut", 30, 64), ("link", 17, 64)],
+     "singleton into a deep tree"),
+], ids=lambda x: x.replace(" ", "-") if isinstance(x, str) else None)
+def test_tour_end_cuts_and_singleton_links_match_the_reference(n, build_edges, ops, where):
+    """Cuts pop each edge arc off the front of what follows it, and links
+    merge each lone fresh arc onto a tour: at the tour's ends, with
+    singletons on either side, the shapes, probes and draws are the
+    reference's."""
+    *before, (kind, u, v) = ops
+    if kind == "cut":
+        i, j, size = cut_positions(n, build_edges, before, u, v)
+        assert {"down arc first": i == 0,
+                "up arc last": j == size - 1,
+                "singleton inside": j == i + 2,
+                "singleton outside": size - (j - i + 1) == 1,
+                "two singletons": size == 4}[where]
+    for seed in range(8):
+        assert drive_pair(n, seed, None, build_edges, ops) is None
+
+
 def vertices_by_position(root, lo, hi):
-    """The position-tracking walk `_vertices` shortcuts, node by node."""
+    """Self-arc vertices at in-order positions lo..hi-1, found by tracking
+    each node's position from the root down."""
     out = []
     stack = [(root, 0)]
     while stack:
@@ -530,21 +575,34 @@ def vertices_by_position(root, lo, hi):
             continue
         pos = base + (t.left.size if t.left is not None else 0)
         if lo <= pos < hi and t.u == t.v:
-            out.append(t.u)
+            out.append((pos, t.u))
         stack.append((t.left, base))
         stack.append((t.right, pos + 1))
-    return out
+    return [u for _, u in sorted(out)]
 
 
 def test_tour_walk_shortcut_keeps_vertices_and_their_order(rng):
+    """The successor walk reads the same vertices, in tour order, as a walk
+    from the root that tracks positions, wrapping round the tour's end."""
     for trial in range(30):
         n = rng.randint(1, 60)
         f = DynamicForest(n, seed=trial)
         f.build([(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
+        arcs = list(f._self_arc) + list(f._edge_arc.values())
         for v in rng.sample(range(n), min(n, 5)):
             root = f.tree_of(v)
-            assert f.tree_vertices(v) == vertices_by_position(root, 0, root.size)
-            for _ in range(5):
-                lo = rng.randint(-1, root.size)
-                hi = rng.randint(lo, root.size + 1)
-                assert _vertices(root, lo, hi) == vertices_by_position(root, lo, hi)
+            tour = vertices_by_position(root, 0, root.size)
+            at = tour.index(v)
+            assert f.tree_vertices(v) == tour[at:] + tour[:at]
+        for _ in range(10):
+            x, end = rng.choice(arcs), rng.choice(arcs)
+            root, _, i = _climb(x)
+            other, _, j = _climb(end)
+            if other is not root:
+                continue
+            if i < j:
+                want = vertices_by_position(root, i + 1, j)
+            else:
+                want = (vertices_by_position(root, i + 1, root.size)
+                        + vertices_by_position(root, 0, j))
+            assert _walk(x, end) == want
