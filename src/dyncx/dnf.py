@@ -125,7 +125,8 @@ class DnfInstance:
         if token[0] == "f":
             _, var, bit = token
             if not 0 <= var < self.num_vars:
-                raise VarOutOfRange(f"variable {var} out of range")
+                raise VarOutOfRange(
+                    f"variable {var + 1} out of range 1..{self.num_vars}")
             self.assignment[var] = bit
         elif token[0] == "q":
             pass
@@ -215,7 +216,7 @@ class ClauseCounters:
 
     def flip(self, var: int, bit: int) -> int:
         if not 0 <= var < self.num_vars:
-            raise VarOutOfRange(f"variable {var} out of range")
+            raise VarOutOfRange(f"variable {var + 1} out of range 1..{self.num_vars}")
         if self.assignment[var] == bit:
             return self.answer()
         self.assignment[var] = bit
@@ -305,7 +306,8 @@ class DnfVerifier:
         if token[0] == "f":
             _, var, bit = token
             if not 0 <= var < self.num_vars:
-                raise VarOutOfRange(f"variable {var} out of range")
+                raise VarOutOfRange(
+                    f"variable {var + 1} out of range 1..{self.num_vars}")
             self.assignment[var] = bit
         elif token[0] != "q":
             raise UndecodableUpdate(f"dnf verifier cannot apply {token!r}")
@@ -475,6 +477,26 @@ def first_dnf_query(aug: AugmentedFirstDnf, counters: ClauseCounters) -> int | N
 # `c` lines are comments, as in DIMACS.
 
 
+class _LiteralPairs(dict):
+    """Literal token -> its (var, positive) pair, or None for a 0 token.
+
+    A pair is made once per distinct literal and shared by every clause
+    that holds it, also where two tokens spell one literal ("3", "03").
+    A token that is not an integer raises int()'s ValueError."""
+
+    def __init__(self):
+        super().__init__()
+        self._by_value: dict[int, tuple[int, bool]] = {}
+
+    def __missing__(self, token: str):
+        lit = int(token)
+        pair = self._by_value.get(lit)
+        if pair is None and lit:
+            pair = self._by_value[lit] = (abs(lit) - 1, lit > 0)
+        self[token] = pair
+        return pair
+
+
 def parse_dnf(text: str):
     """Returns DnfInstance, or FirstDnfInstance when an order line is present.
 
@@ -482,12 +504,14 @@ def parse_dnf(text: str):
     error names its line: clause lines by `check_clause` (the rule
     `DnfInstance.validate` applies), the assignment's bits and length, and
     the order a permutation. With every line checked, the instance is built
-    without a second check.
+    without a second check. Clauses share one (var, positive) pair per
+    distinct literal (`_LiteralPairs`).
     """
     clauses: list[Clause] = []
     assignment = None
     order = None
     n = m = w = 0
+    pair_of = _LiteralPairs().__getitem__
 
     def start(counts):
         nonlocal n, m, w
@@ -506,14 +530,14 @@ def parse_dnf(text: str):
             if sorted(order) != list(range(m)):
                 raise ParseError("order must be a permutation of clause ids")
         else:
-            lits = [int(tok) for tok in parts]
-            if lits.pop() != 0:
+            lits = list(map(pair_of, parts))
+            if lits.pop() is not None:
                 raise ParseError("clause must end with 0")
-            if 0 in lits:
+            if None in lits:
                 raise ParseError("stray 0 inside clause")
-            c = clause(*lits)
-            check_clause(c.literals, n, w)
-            clauses.append(c)
+            literals = tuple(lits)
+            check_clause(literals, n, w)
+            clauses.append(Clause(literals))
 
     read_lines(text, line, ("dnf", 3), comment="c", on_header=start)
     if len(clauses) != m:

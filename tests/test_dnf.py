@@ -476,6 +476,34 @@ def test_parse_dnf_checks_each_clause_once(monkeypatch):
         assert len(checked) == 3
 
 
+def test_parse_dnf_shares_one_pair_per_literal():
+    """Equal (var, positive) pairs of a parsed instance are one object,
+    also where two tokens spell the same literal."""
+    inst = parse_dnf("p dnf 3 4 3\n1 -2 0\n-2 3 1 0\n01 +3 0\n-1 0\na 0 1 0\n")
+    assert [c.literals for c in inst.clauses] == [
+        ((0, True), (1, False)), ((1, False), (2, True), (0, True)),
+        ((0, True), (2, True)), ((0, False),)]
+    by_value = {}
+    for c in inst.clauses:
+        for pair in c.literals:
+            assert by_value.setdefault(pair, pair) is pair
+    assert len(by_value) == 4
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x 0", "invalid literal for int() with base 10: 'x'"),
+    ("1 2", "clause must end with 0"),
+    ("1 0 2 0", "stray 0 inside clause"),
+    ("1 -1 0", "variable 1 appears twice"),
+    ("9 0", "variable 9 out of range 1..3"),
+    ("1 2 3 0", "3 literals, declared width is 2"),
+])
+def test_parse_dnf_names_the_bad_clause_line(line, message):
+    with pytest.raises(ParseError) as caught:
+        parse_dnf(f"p dnf 3 1 2\n{line}\na 0 0 0\n")
+    assert str(caught.value) == f"line 2: {line!r}: {message}"
+
+
 def test_parse_defaults_assignment_to_zeros():
     inst = parse_dnf("p dnf 2 1 2\n1 0\n")
     assert inst.assignment == [0, 0]

@@ -498,6 +498,67 @@ def test_pruned_oracle_matches_the_all_paths_reference(data):
         agree()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pruned_walk_builds_the_counters_of_the_all_paths_prefix(data):
+    """The pruned oracle's counters are the all-paths reference's counters
+    cut to the kept prefix: the same occurrence lists, unsatisfied counts
+    and satisfied tally, at build time and after every update. A kept
+    path's walk with the leaf predicate is the unpruned walk filtered."""
+    width = data.draw(st.integers(1, 4))
+    trees = [
+        read_free_tree(data, width) if data.draw(st.booleans()) else drawn_tree(data, width)
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    memory = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    oracle = FdtOracle(FdtInstance(list(memory), trees))
+    reference = AllPathsFdtOracle(FdtInstance(list(memory), trees))
+    kept = len(oracle.path_tree)
+    floor = data.draw(st.integers(-3, 3))
+
+    def keep(end):
+        return end.rank >= floor
+
+    for tree in trees:
+        assert list(root_to_leaf_paths(tree, keep)) == [
+            (leaf, lits) for leaf, lits in root_to_leaf_paths(tree)
+            if keep(tree.nodes[leaf])]
+
+    def agree():
+        paths, ref = oracle.paths, reference.paths
+        assert [list(codes) for codes in paths.occ] == [
+            [code for code in codes if code >> 1 < kept] for codes in ref.occ]
+        assert paths.unsat == ref.unsat[:kept]
+        assert paths.satisfied == ref.unsat[:kept].count(0)
+
+    agree()
+    updates = st.tuples(st.integers(0, width - 1), st.integers(0, 1))
+    for pos, bit in data.draw(st.lists(updates, max_size=15)):
+        oracle.update(pos, bit)
+        reference.update(pos, bit)
+        agree()
+
+
+def test_compile_shares_equal_reads():
+    """One Read object per distinct (index, left, right) of a compile, so
+    equal tests in different clauses' trees are one node."""
+    inst = parse_dnf("p dnf 4 5 3\n1 -2 3 0\n1 -2 4 0\n1 0\n-1 2 0\n2 1 0\na 0 1 0 0\n")
+    trees = compile_dnf_verifier_to_trees(inst)
+    reads = [node for tree in trees for node in tree.nodes if isinstance(node, Read)]
+    assert len(reads) == 11
+    by_value = {}
+    for node in reads:
+        assert by_value.setdefault(node, node) is node
+    # clauses 1 and 2 start with the same two tests at the same depths
+    assert trees[0].nodes[:2] == trees[1].nodes[:2]
+    assert all(a is b for a, b in zip(trees[0].nodes[:2], trees[1].nodes[:2]))
+    assert len(by_value) == 9
+    # a second compile makes its own nodes
+    again = compile_dnf_verifier_to_trees(inst)
+    assert again[0].nodes[0] == trees[0].nodes[0]
+    assert again[0].nodes[0] is not trees[0].nodes[0]
+
+
 def test_oracle_cuts_at_the_first_read_free_path():
     lone = DecisionTree([End(0, 0, 0)])
     chain = DecisionTree([Write(0, 1, 1), End(1, 0, 2)])
