@@ -61,7 +61,6 @@ from .equiv import (
     ov_bruteforce,
     ov_to_aw,
     parse_aw,
-    transpose,
 )
 from .fdt import (
     DecisionTree,

@@ -127,12 +127,6 @@ class DynamicGraph:
             raise UndecodableUpdate(f"graph cannot apply {token!r}")
 
 
-def spanning_forest_of(graph: DynamicGraph, forest: DynamicForest):
-    """Greedy preprocessing fill of an edgeless forest: the forest that
-    linking `sorted(graph.edges)` in turn gives, built in one pass."""
-    forest.build(sorted(graph.edges))
-
-
 def _lightest_link(graph: DynamicGraph, forest: DynamicForest, side, tree, skip):
     """Smallest graph edge (a, b), a < b, other than `skip`, joining a vertex
     of `side` to a vertex of `tree` outside `side`; None if there is none.
@@ -172,7 +166,7 @@ class ConnVerifier:
     def __init__(self, graph: DynamicGraph, forest_seed: int = 0, op_budget=None):
         self.graph = graph.copy()
         self.forest = DynamicForest(graph.num_nodes, forest_seed, op_budget)
-        spanning_forest_of(self.graph, self.forest)
+        self.forest.build(sorted(self.graph.edges))
 
     def _x(self) -> int:
         return 1 if self.forest.edge_count == self.graph.num_nodes - 1 else 0
@@ -315,9 +309,9 @@ class ForestConnectivityOracle:
         self.tree: list[set[int]] = [set() for _ in range(num_nodes)]
         uf = oracles.UnionFind(num_nodes)
         # any maximal forest is correct; in sorted order it is the greedy one
-        # `spanning_forest_of` gives, so over a spanning protocol's graph the
-        # oracle's tree edges start as the protocol's and the searches of
-        # both fall on the same deletions
+        # the protocol's `forest.build(sorted(graph.edges))` gives, so over a
+        # spanning protocol's graph the oracle's tree edges start as the
+        # protocol's and the searches of both fall on the same deletions
         for u, v in sorted(self.graph.edges):
             if uf.union(u, v):
                 self.tree[u].add(v)
@@ -421,7 +415,7 @@ class SpanningForestProtocol:
         n = graph.num_nodes
         self.super_node = n  # G' lives on nodes 0..n
         self.forest = DynamicForest(n, forest_seed)
-        spanning_forest_of(self.graph, self.forest)
+        self.forest.build(sorted(self.graph.edges))
         # the forest's edges, kept sorted through every link and cut, and the
         # copy that reports hand out: the reports of steps that leave the
         # forest alone share one copy, and no later step changes it
@@ -500,7 +494,7 @@ class SpanningForestProtocol:
         if self.oracle.is_connected():
             # a replacement exists somewhere; the prover must name it
             proposal = self.prover(self, (u, v))
-            if not self._replacement_ok(proposal, (u, v)):
+            if not self._replacement_ok(proposal):
                 self.desynced = True
                 return self.report(token, valid=False)
             self._link(*proposal)
@@ -513,15 +507,17 @@ class SpanningForestProtocol:
         self.oracle.insert(new_rep, self.super_node)
         return self.report(token)
 
-    def _replacement_ok(self, proposal, cut_edge) -> bool:
+    def _replacement_ok(self, proposal) -> bool:
+        """Does the proposal cross the cut `_delete` just made?
+
+        In sync, the forest was a maximal spanning forest of G, so every
+        graph edge had both ends in one tree. After the cut, the only graph
+        edges with ends in different trees are therefore those that cross
+        it; `_delete` has already taken the cut edge out of the graph."""
         if proposal is None:
             return False
         a, b = proposal
-        u, v = cut_edge
-        # `_delete` has already taken the cut edge out of the graph
-        return self.graph.has(a, b) and (
-            (self.forest.connected(a, u) and self.forest.connected(b, v))
-            or (self.forest.connected(a, v) and self.forest.connected(b, u)))
+        return self.graph.has(a, b) and not self.forest.connected(a, b)
 
 
 def honest_replacement_prover(protocol: SpanningForestProtocol, cut_edge):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .framework import (
@@ -54,9 +54,6 @@ class Clause:
     @property
     def width(self) -> int:
         return len(self.literals)
-
-    def variables(self) -> list[int]:
-        return [v for v, _ in self.literals]
 
     def satisfied_by(self, assignment, meter: ProbeMeter | None = None) -> bool:
         for var, positive in self.literals:

@@ -2,9 +2,7 @@
 sparse orthogonal vectors.
 
 Canonical all-white orientation: colors live on the L side, the question
-scans R ("is there an r whose neighbors are all white?"). Data authored in
-the opposite orientation (colors on the scanned side's counterpart) can be
-flipped into canonical form with `transpose`.
+scans R ("is there an r whose neighbors are all white?").
 
 Answer correspondences:
   dnf F(phi)=1            <-> all-white YES          (same bit)
@@ -91,20 +89,6 @@ def aw_bruteforce(inst: AllWhiteInstance) -> int:
         if all(inst.colors[l] for l in nbrs[r]):
             return 1
     return 0
-
-
-def transpose(num_scanned: int, num_colored: int, edges, colors) -> AllWhiteInstance:
-    """Canonicalize data given in the scan-first orientation.
-
-    Input edges are (scanned, colored) pairs and colors belong to the colored
-    side; output is the same object with colors on L and the scan on R.
-    """
-    return AllWhiteInstance(
-        num_l=num_colored,
-        num_r=num_scanned,
-        edges=[(c, s) for s, c in edges],
-        colors=list(colors),
-    )
 
 
 class AllWhiteCounters:
@@ -291,17 +275,16 @@ def indep_bruteforce(inst: HypergraphInstance) -> int:
 
 # ---------------------------------------------------------------------------
 # Converters. Each returns (target instance, translator); a translator maps
-# one source token to the list of target tokens (at most 2 for dnf->aw,
-# exactly 1 elsewhere; repeated no-op updates translate to []).
+# one source token to the list of target tokens (2 for a dnf->aw flip,
+# exactly 1 elsewhere).
 # ---------------------------------------------------------------------------
 
 
-def dnf_to_aw(inst: DnfInstance, prune: bool = False):
+def dnf_to_aw(inst: DnfInstance):
     """Variables split into positive/negative literal nodes (2i, 2i+1);
     clause j becomes R node j adjacent to the literal nodes it contains.
     phi(x_i)=1 colors node 2i white and 2i+1 black; F(phi)=1 iff some R node
-    is all-white. With prune=True, literal nodes used by no clause are
-    dropped and the rest renumbered in order."""
+    is all-white."""
     edges = []
     for j, c in enumerate(inst.clauses):
         for var, positive in c.literals:
@@ -311,16 +294,11 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
     for var in range(inst.num_vars):
         white = bool(inst.assignment[var])
         colors.extend([white, not white])
-    keep = list(range(2 * inst.num_vars))
-    if prune:
-        used = {l for l, _ in edges}
-        keep = sorted(used)
-    remap = {old: new for new, old in enumerate(keep)}
     aw = AllWhiteInstance(
-        num_l=len(keep),
+        num_l=2 * inst.num_vars,
         num_r=len(inst.clauses),
-        edges=[(remap[l], r) for l, r in edges],
-        colors=[colors[old] for old in keep],
+        edges=edges,
+        colors=colors,
         width=inst.width,
     )
 
@@ -330,13 +308,8 @@ def dnf_to_aw(inst: DnfInstance, prune: bool = False):
         if token[0] != "f":
             raise UndecodableUpdate(f"dnf->aw cannot translate {token!r}")
         _, var, bit = token
-        out = []
-        pos, neg = 2 * var, 2 * var + 1
-        if pos in remap:
-            out.append(("c", remap[pos], "W" if bit else "B"))
-        if neg in remap:
-            out.append(("c", remap[neg], "B" if bit else "W"))
-        return out
+        return [("c", 2 * var, "W" if bit else "B"),
+                ("c", 2 * var + 1, "B" if bit else "W")]
 
     return aw, translate
 

@@ -40,7 +40,6 @@ from .framework import (
     ParseError,
     ProbeMeter,
     env_budget,
-    read_lines,
 )
 from .dnf import Clause, ClauseCounters, DnfInstance, FirstDnfInstance
 
@@ -236,7 +235,8 @@ def fdt_answer(inst: FdtInstance) -> int:
 
 def fdt_update(inst: FdtInstance, position: int, value: int) -> FdtInstance:
     if not 0 <= position < len(inst.memory):
-        raise IndexOutOfRange(f"position {position}")
+        raise IndexOutOfRange(
+            f"position {position + 1} out of range 1..{len(inst.memory)}")
     inst.memory[position] = value
     return inst
 
@@ -443,7 +443,8 @@ class FdtOracle:
     def update(self, position: int, value: int):
         self.updates += 1
         if not 0 <= position < self.paths.num_vars:
-            raise IndexOutOfRange(f"position {position}")
+            raise IndexOutOfRange(
+                f"position {position + 1} out of range 1..{self.paths.num_vars}")
         self.paths.flip(position, value)
 
     def answer(self) -> int:
@@ -518,83 +519,3 @@ def completeness_harness(
         else:
             raise ParseError(f"harness cannot decode update {tok!r}")
     return answers
-
-
-# ---------------------------------------------------------------------------
-# Tree file format
-# ---------------------------------------------------------------------------
-#
-# One `T` line opens a tree block; the following lines are its nodes in
-# order (node ids are 1-based positions within the block):
-#   R <idx> <left-id> <right-id>
-#   W <idx> <bit> <child-id>
-#   E <x> <y> <rank>
-# A final `m <bit> ... <bit>` line gives the memory. Memory indices in
-# R/W lines are 1-based. A tree's shape is checked once all lines are read,
-# and a fault is reported on the tree's `T` line.
-
-
-def parse_trees(text: str) -> FdtInstance:
-    memory = None
-    blocks: list[tuple[int, list]] = []  # (line number of the T, nodes)
-    block: list | None = None
-
-    def line(parts, lineno):
-        nonlocal block, memory
-        if parts[0] == "T":
-            block = []
-            blocks.append((lineno, block))
-        elif parts[0] == "m":
-            block = None
-            memory = [int(b) for b in parts[1:]]
-            if any(b not in (0, 1) for b in memory):
-                raise ParseError("memory bits must be 0/1")
-        elif parts[0] in ("R", "W", "E"):
-            if block is None:
-                raise ParseError("node line outside a T block")
-            if parts[0] == "R":
-                block.append(
-                    Read(int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1)
-                )
-            elif parts[0] == "W":
-                block.append(
-                    Write(int(parts[1]) - 1, int(parts[2]), int(parts[3]) - 1)
-                )
-            else:
-                block.append(End(int(parts[1]), int(parts[2]), int(parts[3])))
-        else:
-            raise ParseError("unknown line")
-
-    read_lines(text, line)
-    if memory is None:
-        raise ParseError("missing memory line")
-    trees = []
-    for lineno, nodes in blocks:
-        try:
-            tree = DecisionTree(nodes)
-        except DyncxError as exc:
-            raise ParseError(
-                f"line {lineno}: tree opened here: {exc} (nodes counted from 0)"
-            ) from exc
-        if tree.span > len(memory):
-            # span is one past the largest index, so the file's own 1-based index
-            raise IndexOutOfRange(
-                f"line {lineno}: tree opened here: touches bit {tree.span}"
-                f" of a {len(memory)}-bit memory")
-        trees.append(tree)
-    return FdtInstance(memory, trees)
-
-
-def format_trees(inst: FdtInstance) -> str:
-    out = []
-    for tree in inst.trees:
-        out.append("T")
-        for node in tree.nodes:
-            if isinstance(node, Read):
-                out.append(f"R {node.index + 1} {node.left + 1} {node.right + 1}")
-            elif isinstance(node, Write):
-                out.append(f"W {node.index + 1} {node.bit} {node.child + 1}")
-            else:
-                out.append(f"E {node.x} {node.y} {node.rank}")
-    out.append("m " + " ".join(str(b) for b in inst.memory))
-    return "\n".join(out) + "\n"

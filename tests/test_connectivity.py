@@ -312,6 +312,22 @@ def test_a_replacement_outside_the_graph_desyncs(proposal):
     assert not report.valid and protocol.desynced
 
 
+@pytest.mark.parametrize("factory", [None, RebuildConnectivityOracle],
+                         ids=["forest-oracle", "rebuild-oracle"])
+@pytest.mark.parametrize("proposal, valid", [((4, 3), True), ((2, 3), False), ((0, 4), False)],
+                         ids=["crossing", "one-side", "one-side-tree-edge"])
+def test_a_replacement_must_cross_the_cut(factory, proposal, valid):
+    # forest (0,1) (0,4) (1,2) (1,3); cutting (0,1) leaves sides {0, 4} and
+    # {1, 2, 3}: (4, 3) crosses, while the graph edges (2, 3) and (0, 4) each
+    # stay on one side
+    graph = DynamicGraph(5, {(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)})
+    protocol = SpanningForestProtocol(graph, oracle_factory=factory,
+                                      prover=lambda protocol, cut: proposal)
+    assert sorted(protocol.forest.tree_edges()) == [(0, 1), (0, 4), (1, 2), (1, 3)]
+    report = protocol.apply(("e", "-", 0, 1))
+    assert report.valid is valid and protocol.desynced is not valid
+
+
 def test_desynced_protocol_still_refuses_foreign_tokens():
     graph = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     protocol = SpanningForestProtocol(graph, prover=stubborn_replacement_prover)
@@ -452,7 +468,7 @@ def test_forest_meter_counts_are_pinned():
     for token in stream:
         assert protocol.apply(token).valid
     counts.append(protocol.forest.meter.count)
-    assert counts == [0, 10731, 297, 12325]
+    assert counts == [0, 10731, 297, 11690]
 
 
 def test_forest_meter_counts_are_pinned_at_perfbench_size():
@@ -472,7 +488,7 @@ def test_forest_meter_counts_are_pinned_at_perfbench_size():
     counts = [verifiers[0].forest.meter.count, protocol.forest.meter.count]
     reports = [protocol.initial_report()] + [protocol.apply(token) for token in stream]
     counts.append(protocol.forest.meter.count)
-    assert counts == [25430, 3480, 31711]
+    assert counts == [25430, 3480, 30117]
     assert all(report.valid for report in reports)
     rows = json.dumps([[record.to_dict() for record in transcript.records],
                        [dataclasses.asdict(report) for report in reports]]).encode()

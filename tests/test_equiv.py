@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dyncx.dnf import DnfInstance, clause, eval_bruteforce
 from dyncx.equiv import (
@@ -24,9 +23,7 @@ from dyncx.equiv import (
     ov_bruteforce,
     ov_to_aw,
     parse_aw,
-    transpose,
 )
-from dyncx.fdt import parse_trees
 from dyncx.framework import BudgetExceeded, ParseError
 
 from conftest import rand_aw, rand_color_stream, rand_dnf, rand_flip_stream
@@ -45,15 +42,6 @@ def test_aw_empty_neighborhood_counts_as_all_white():
 
 def test_aw_no_scanned_nodes_is_no():
     assert aw_bruteforce(AllWhiteInstance(2, 0, [], [True, False])) == 0
-
-
-def test_transpose_moves_colors_to_l_side():
-    # catalog orientation: scanned side first, colored side second
-    inst = transpose(2, 3, [(0, 0), (1, 2)], [True, False, True])
-    assert (inst.num_l, inst.num_r) == (3, 2)
-    assert inst.edges == [(0, 0), (2, 1)]
-    assert inst.colors == [True, False, True]
-    assert aw_bruteforce(inst) == 1  # scanned node 1's neighborhood = {2}, white
 
 
 def test_aw_counters_track_bruteforce(rng):
@@ -211,14 +199,6 @@ def test_dnf_to_aw_flip_translates_to_exactly_two_updates(rng):
         assert len(tr(tok)) == 2
 
 
-def test_dnf_to_aw_prune_drops_unused_literal_nodes():
-    inst = DnfInstance(3, [clause(1)], [1, 1, 1], 1)
-    aw, tr = dnf_to_aw(inst, prune=True)
-    assert aw.num_l == 1
-    assert tr(("f", 2, 0)) == []  # variable 3 has no literal nodes left
-    assert aw_bruteforce(aw) == eval_bruteforce(inst)
-
-
 def test_aw_to_indep_examples():
     star = AllWhiteInstance(3, 1, [(0, 0), (1, 0), (2, 0)], [True, True, True])
     hg, _ = aw_to_indep(star)
@@ -358,10 +338,9 @@ def test_aw_parse_format_round_trip(rng):
 @pytest.mark.parametrize(
     "parse, text, lineno",
     [
-        (parse_trees, "T\nE 1 1 1\nm 0 x\n", 3),
         (parse_aw, "p aw 1 -2\n", 1),
     ],
-    ids=["tree-memory", "aw-negative-count"],
+    ids=["aw-negative-count"],
 )
 def test_non_integer_field_is_a_parse_error_naming_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=f"^line {lineno}:"):

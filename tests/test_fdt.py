@@ -32,8 +32,6 @@ from dyncx.fdt import (
     fdt_answer,
     fdt_to_fdnf,
     fdt_update,
-    format_trees,
-    parse_trees,
     root_to_leaf_paths,
 )
 from dyncx.framework import BudgetExceeded, ParseError, ProbeMeter, UpdateStream
@@ -595,6 +593,17 @@ def test_oracle_refuses_what_the_reference_refuses():
         oracle.update(2, 1)
 
 
+def test_memory_errors_name_the_1_based_position():
+    # a 2-bit memory's bits are 1..2, as in the harness's and the DNF file's ids
+    inst = FdtInstance([0, 0], [single_read()])
+    with pytest.raises(IndexOutOfRange, match=r"^position 3 out of range 1\.\.2$"):
+        fdt_update(inst, 2, 1)
+    with pytest.raises(IndexOutOfRange, match=r"^position 3 out of range 1\.\.2$"):
+        FdtOracle(inst).update(2, 1)
+    with pytest.raises(IndexOutOfRange, match=r"^update position 3 out of range 1\.\.2$"):
+        completeness_harness(inst.trees, inst.memory, [("f", 2, 1)])
+
+
 # ---------------------------------------------------------------------------
 # completeness harness
 # ---------------------------------------------------------------------------
@@ -690,59 +699,6 @@ def test_harness_rejects_foreign_tokens(rng):
     trees = compile_dnf_verifier_to_trees(inst)
     with pytest.raises(ParseError):
         completeness_harness(trees, list(inst.assignment), [("e", "+", 0, 1)])
-
-
-# ---------------------------------------------------------------------------
-# file format
-# ---------------------------------------------------------------------------
-
-
-def test_tree_file_round_trip(rng):
-    for _ in range(20):
-        inst = random_instance(rng)
-        again = parse_trees(format_trees(inst))
-        assert again.memory == inst.memory
-        assert again.trees == inst.trees
-
-
-def test_tree_file_worked_example():
-    text = "T\nR 1 2 3\nE 0 0 0\nE 1 1 1\nm 0 1\n"
-    inst = parse_trees(text)
-    assert inst.memory == [0, 1]
-    assert len(inst.trees) == 1
-    assert inst.trees[0].nodes == single_read().nodes
-
-
-def test_tree_file_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_trees("R 1 2 3\nm 0\n")  # node line before any T
-    with pytest.raises(ParseError):
-        parse_trees("T\nE 0 0 1\n")  # missing memory line
-    with pytest.raises(ParseError):
-        parse_trees("T\nX 1\nm 0\n")
-    with pytest.raises(IndexOutOfRange):
-        parse_trees("T\nR 3 2 3\nE 0 0 0\nE 1 1 1\nm 0\n")
-
-
-def test_tree_file_shape_error_names_the_tree_line():
-    # the second tree shares node 2; its block closes at the `m` line
-    text = "T\nE 0 0 0\n# note\n\nT\nR 1 2 2\nE 0 0 0\nm 0\n"
-    with pytest.raises(ParseError, match=r"^line 5: tree opened here: ") as caught:
-        parse_trees(text)
-    assert type(caught.value) is ParseError
-    with pytest.raises(ParseError, match=r"^line 1: .*read twice"):
-        parse_trees("T\nR 1 2 3\nE 0 0 0\nR 1 4 5\nE 0 0 0\nE 1 1 1\nm 0\n")
-    with pytest.raises(ParseError, match=r"^line 1: .*no nodes"):
-        parse_trees("T\nT\nE 1 1 1\nm 0\n")
-
-
-def test_tree_file_index_past_memory_names_the_tree_line():
-    text = "T\nR 3 2 3\nE 0 0 0\nE 1 1 1\nm 0\n"
-    with pytest.raises(IndexOutOfRange, match=r"^line 1: tree opened here: .*bit 3 of a 1-bit"):
-        parse_trees(text)
-    # the second tree writes bit 2 of 1; its T is on line 3
-    with pytest.raises(IndexOutOfRange, match=r"^line 3: "):
-        parse_trees("T\nE 0 0 0\nT\nW 2 1 2\nE 0 0 0\nm 0\n")
 
 
 def test_stream_tokens_reused_from_shared_parser():

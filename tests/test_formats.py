@@ -26,9 +26,6 @@ from dyncx.fdt import (
     FdtInstance,
     NotNormalized,
     Read,
-    Write,
-    format_trees,
-    parse_trees,
 )
 from dyncx.framework import DyncxError, ParseError, UpdateStream
 from dyncx.reductions import (
@@ -76,34 +73,6 @@ def all_whites(draw):
 
 
 @st.composite
-def tree_sets(draw):
-    size = draw(st.integers(1, 3))
-
-    def grow(nodes, readable):
-        at = len(nodes)
-        nodes.append(None)
-        kinds = "ERW" if readable and len(nodes) < 10 else "E"
-        kind = draw(st.sampled_from(kinds))
-        if kind == "E":
-            nodes[at] = End(draw(bits), draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
-        elif kind == "R":
-            index = draw(st.sampled_from(sorted(readable)))
-            left = grow(nodes, readable - {index})
-            nodes[at] = Read(index, left, grow(nodes, readable - {index}))
-        else:
-            index = draw(st.integers(0, size - 1))
-            nodes[at] = Write(index, draw(bits), grow(nodes, readable - {index}))
-        return at
-
-    trees = []
-    for _ in range(draw(st.integers(0, 3))):
-        nodes = []
-        grow(nodes, set(range(size)))
-        trees.append(DecisionTree(nodes))
-    return FdtInstance(draw(st.lists(bits, min_size=size, max_size=size)), trees)
-
-
-@st.composite
 def cnfs(draw):
     n = draw(st.integers(1, 5))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -125,7 +94,6 @@ FORMATS = {
     "dnf": (dnfs(), format_dnf, parse_dnf, "c"),
     "graph": (graphs(), lambda gk: format_graph(*gk), parse_graph, None),
     "aw": (all_whites(), format_aw, parse_aw, None),
-    "trees": (tree_sets(), format_trees, parse_trees, None),
     "cnf": (cnfs(), format_dimacs, parse_dimacs, "c"),
 }
 
