@@ -76,7 +76,7 @@ from .fdt import (
     fdt_to_fdnf,
     fdt_update,
 )
-from .forest import DynamicForest, NotTreeEdge, WouldCycle
+from .forest import DynamicForest, NotTreeEdge
 from .connectivity import (
     ConnVerifier,
     DynamicGraph,

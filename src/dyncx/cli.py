@@ -228,9 +228,8 @@ def _ground_truths(problem, args, inst, stream) -> list[int]:
     if problem == "conn":
         return replay(inst.copy(), stream,
                       lambda g: int(oracles.is_connected(g.num_nodes, g.edges)))
-    # below two nodes there is no cut to find: the answer is 0
-    return replay(inst.copy(), stream, lambda g: int(
-        g.num_nodes >= 2 and connectivity.mincut_bruteforce(g)[0] < args.k))
+    return replay(inst.copy(), stream,
+                  lambda g: int(connectivity.mincut_bruteforce(g)[0] < args.k))
 
 
 def _verify_spanning(args, stream, report: RunReport) -> RunReport:

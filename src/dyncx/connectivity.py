@@ -18,8 +18,9 @@ Three layers:
 
 Every replacement search reads only the graph edges at the vertices of the
 smaller side of the cut, O(vol(smaller side)) per forest-edge deletion.
-The honest provers find that side as Henzinger and King do, by walking its
-Euler tour in the verifier's or protocol's forest; the walks are unmetered
+Both honest provers make one search, `_smallest_replacement`, before the
+cut: they find that side as Henzinger and King do, by walking its Euler
+tour in the verifier's or protocol's uncut forest; the walks are unmetered
 (`DynamicForest`'s tour walks), so prover work never lands on a verifier's
 probe count. `ForestConnectivityOracle` has no Euler tour: it explores the
 two trees the cut leaves side by side until one runs out, as in Even and
@@ -127,15 +128,21 @@ class DynamicGraph:
             raise UndecodableUpdate(f"graph cannot apply {token!r}")
 
 
-def _lightest_link(graph: DynamicGraph, forest: DynamicForest, side, tree, skip):
-    """Smallest graph edge (a, b), a < b, other than `skip`, joining a vertex
-    of `side` to a vertex of `tree` outside `side`; None if there is none.
+def _smallest_replacement(graph: DynamicGraph, forest: DynamicForest, u: int, v: int):
+    """Smallest graph edge (a, b), a < b, other than (u, v), that mends
+    cutting the forest edge (u, v), found before the cut; None if there is
+    none.
 
-    Reads only the edges at `side`. Tree membership is checked by identity,
+    Walks the smaller side S the cut would leave and reads only the edges
+    at S, in O(vol(S)) plus the walk: an edge mends the cut when it leads
+    from S to the rest of u's tree. Tree membership is checked by identity,
     because a forest that is not maximal can have graph edges into a third
     tree.
     """
+    side = forest.smaller_side(u, v)
     inside = set(side)
+    tree = forest.tree_of(u)
+    skip = (u, v) if u < v else (v, u)
     best = None
     for x in side:
         for y in graph.adj[x]:
@@ -156,9 +163,9 @@ class ConnVerifier:
     """x=1 iff the maintained forest has N-1 edges (a spanning tree).
 
     Proofs only matter when a tree edge is deleted: the null proof concedes
-    (y=0); an edge e' earns y=1 when e' is a current graph edge whose link
-    keeps F a forest, else y=-1. The verifier cuts the deleted tree edge
-    itself before reading the proof.
+    (y=0); an edge e' earns y=1 when e' is a current graph edge that
+    `link` accepts, joining two trees, else y=-1. The verifier cuts the
+    deleted tree edge itself before reading the proof.
     """
 
     max_proof_len = 8
@@ -191,8 +198,7 @@ class ConnVerifier:
         _, sign, u, v = token
         if sign == "+":
             self.graph.insert(u, v)
-            if not self.forest.connected(u, v):
-                self.forest.link(u, v)
+            self.forest.link(u, v)
             return VerifierOutput(self._x(), 0)
         self.graph.delete(u, v)
         if not self.forest.has_edge(u, v):
@@ -204,22 +210,18 @@ class ConnVerifier:
             a, b = decode_edge(proof)
         except ParseError:
             return VerifierOutput(self._x(), -1)
-        if not self.graph.has(a, b) or self.forest.connected(a, b):
-            return VerifierOutput(self._x(), -1)
-        self.forest.link(a, b)
-        return VerifierOutput(self._x(), 1)
+        y = 1 if self.graph.has(a, b) and self.forest.link(a, b) else -1
+        return VerifierOutput(self._x(), y)
 
 
 def honest_conn_prover(verifier: ConnVerifier, token) -> bytes:
     """Offer the smallest replacement edge that mends the pending cut.
 
     Provers speak before the verifier consumes the update, so the search
-    reads the uncut forest: it walks the smaller side S that cutting (u, v)
-    would leave and takes the smallest other graph edge from S to the rest
-    of u's tree, in O(vol(S)) plus the walk, without touching the verifier's
-    meter or RNG. That is what the reward maximizer picks: y=1 beats y=0,
-    and among y=1 candidates the enumeration order is ascending edge
-    encoding.
+    (`_smallest_replacement`) reads the uncut forest, without touching the
+    verifier's meter or RNG. That is what the reward maximizer picks: y=1
+    beats y=0, and among y=1 candidates the enumeration order is ascending
+    edge encoding.
     """
     if token[0] != "e" or token[1] != "-":
         return BOTTOM
@@ -227,8 +229,7 @@ def honest_conn_prover(verifier: ConnVerifier, token) -> bytes:
     forest = verifier.forest
     if not forest.has_edge(u, v):
         return BOTTOM
-    edge = _lightest_link(verifier.graph, forest, forest.smaller_side(u, v),
-                          forest.tree_of(u), (min(u, v), max(u, v)))
+    edge = _smallest_replacement(verifier.graph, forest, u, v)
     return BOTTOM if edge is None else encode_edge(*edge)
 
 
@@ -444,10 +445,14 @@ class SpanningForestProtocol:
             self._reported_edges,
         )
 
-    def _link(self, u, v):
-        self.forest.link(u, v)
+    def _link(self, u, v) -> bool:
+        """Link (u, v) into the forest and its sorted edge list; False, with
+        both left as they were, if u and v are already in one tree."""
+        if not self.forest.link(u, v):
+            return False
         insort(self._forest_edges, (u, v) if u < v else (v, u))
         self._reported_edges = None
+        return True
 
     def _cut(self, u, v):
         self.forest.cut(u, v)
@@ -490,15 +495,14 @@ class SpanningForestProtocol:
         if not self.forest.has_edge(u, v):
             return self.report(token)
         old_rep = self.forest.component_min(u)
-        self._cut(u, v)
         if self.oracle.is_connected():
-            # a replacement exists somewhere; the prover must name it
+            # a replacement exists somewhere; the prover must name it, and
+            # reads the forest before the cut
             proposal = self.prover(self, (u, v))
-            if not self._replacement_ok(proposal):
-                self.desynced = True
-                return self.report(token, valid=False)
-            self._link(*proposal)
+            self._cut(u, v)
+            self.desynced = not self._replacement_ok(proposal)
             return self.report(token)
+        self._cut(u, v)
         # true split: the side without the old representative needs one
         side_u_min = self.forest.component_min(u)
         side_v_min = self.forest.component_min(v)
@@ -508,31 +512,21 @@ class SpanningForestProtocol:
         return self.report(token)
 
     def _replacement_ok(self, proposal) -> bool:
-        """Does the proposal cross the cut `_delete` just made?
+        """Link the proposal if it crosses the cut `_delete` just made; did
+        it?
 
         In sync, the forest was a maximal spanning forest of G, so every
         graph edge had both ends in one tree. After the cut, the only graph
         edges with ends in different trees are therefore those that cross
         it; `_delete` has already taken the cut edge out of the graph."""
-        if proposal is None:
-            return False
-        a, b = proposal
-        return self.graph.has(a, b) and not self.forest.connected(a, b)
+        return proposal is not None and self.graph.has(*proposal) and self._link(*proposal)
 
 
 def honest_replacement_prover(protocol: SpanningForestProtocol, cut_edge):
-    """The smallest graph edge between the two trees the cut left, or None.
-
-    Climbs from u and from v once each, then walks the smaller tree only
-    (u's on a tie), O(vol(smaller tree)) plus the walk, and reads the forest
-    without its meter.
-    """
-    u, v = cut_edge
-    forest = protocol.forest
-    tree_u, tree_v = forest.tree_of(u), forest.tree_of(v)
-    if tree_u.size > tree_v.size:
-        u, tree_v = v, tree_u
-    return _lightest_link(protocol.graph, forest, forest.tree_vertices(u), tree_v, None)
+    """The smallest graph edge between the two trees the pending cut of the
+    forest edge `cut_edge` will leave, or None: the search
+    `honest_conn_prover` makes, on the protocol's uncut forest."""
+    return _smallest_replacement(protocol.graph, protocol.forest, *cut_edge)
 
 
 def stubborn_replacement_prover(protocol: SpanningForestProtocol, cut_edge):
@@ -550,7 +544,8 @@ class KconnVerifier:
 
     The proof names at most k-1 edges; the verifier deletes them, asks its
     oracle (whose graph is `self.graph`) once, and re-inserts them: 2|S|+1
-    oracle touches (routing the step's own update is accounted separately).
+    oracle touches, read off the oracle's `calls`, on top of the one that
+    routes the step's own update.
     """
 
     def __init__(self, graph: DynamicGraph, k: int):
@@ -559,7 +554,6 @@ class KconnVerifier:
         self.k = k
         self.conn = ForestConnectivityOracle(graph.num_nodes, graph.edges)
         self.graph = self.conn.graph
-        self.last_touches = 0
 
     @property
     def max_proof_len(self):
@@ -567,8 +561,6 @@ class KconnVerifier:
 
     def initial_output(self) -> VerifierOutput:
         # preprocessing answers without a proof: unbounded time, direct check
-        if self.graph.num_nodes < 2:
-            return VerifierOutput(0, 0)
         value, _ = mincut_bruteforce(self.graph)
         return VerifierOutput(1 if value < self.k else 0, 0)
 
@@ -577,7 +569,6 @@ class KconnVerifier:
         dup.k = self.k
         dup.conn = self.conn.copy()
         dup.graph = dup.conn.graph
-        dup.last_touches = 0
         return dup
 
     def proof_space(self, token) -> list[bytes]:
@@ -615,26 +606,24 @@ class KconnVerifier:
             # junk bytes can decode to arbitrary ids: malformed, not fatal
             if not self.graph.has(u, v):
                 return VerifierOutput(0, -1)
-        base = self.conn.calls
         for u, v in s_edges:
             self.conn.delete(u, v)
         disconnected = not self.conn.is_connected()
         for u, v in s_edges:
             self.conn.insert(u, v)
-        self.last_touches = self.conn.calls - base
         return VerifierOutput(1, 1) if disconnected else VerifierOutput(0, 0)
 
 
 def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):
     """Global minimum edge cut: unit-capacity max-flow from node 0 to each
     other node. Returns (value, witness edge set); (0, empty) when already
-    disconnected.
+    disconnected, and (inf, empty) below two nodes, where there is no cut.
 
     Its work, (n - 1) * (n + m) for the n - 1 flows over n nodes and m
     edges, must stay within `budget` (`env_budget()` when not given)."""
     n = graph.num_nodes
     if n < 2:
-        raise ParseError("mincut needs at least two nodes")
+        return math.inf, set()
     budget = env_budget() if budget is None else budget
     work = (n - 1) * (n + len(graph.edges))
     if work > budget:
@@ -659,15 +648,9 @@ def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):
 
 
 def mincut_oracle_prover(verifier: KconnVerifier, token) -> bytes:
-    """Honest prover: a witness cut when connectivity < k, else no proof.
-
-    Below two nodes there is no cut, and the answer is 0 as in
-    `KconnVerifier.initial_output`.
-    """
+    """Honest prover: a witness cut when connectivity < k, else no proof."""
     graph = verifier.graph.copy()
     graph.apply(token)
-    if graph.num_nodes < 2:
-        return BOTTOM
     value, witness = mincut_bruteforce(graph)
     if value < verifier.k:
         return encode_edge_set(sorted(witness))

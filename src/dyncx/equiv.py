@@ -280,6 +280,21 @@ def indep_bruteforce(inst: HypergraphInstance) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _translator(kind: str, name: str, emit):
+    """Translator for a source whose updates are `kind` tokens: a query
+    maps to a query, a `kind` token to `emit(*fields)`, anything else is
+    an UndecodableUpdate naming the converter."""
+
+    def translate(token):
+        if token[0] == "q":
+            return [("q",)]
+        if token[0] != kind:
+            raise UndecodableUpdate(f"{name} cannot translate {token!r}")
+        return emit(*token[1:])
+
+    return translate
+
+
 def dnf_to_aw(inst: DnfInstance):
     """Variables split into positive/negative literal nodes (2i, 2i+1);
     clause j becomes R node j adjacent to the literal nodes it contains.
@@ -301,17 +316,8 @@ def dnf_to_aw(inst: DnfInstance):
         colors=colors,
         width=inst.width,
     )
-
-    def translate(token):
-        if token[0] == "q":
-            return [("q",)]
-        if token[0] != "f":
-            raise UndecodableUpdate(f"dnf->aw cannot translate {token!r}")
-        _, var, bit = token
-        return [("c", 2 * var, "W" if bit else "B"),
-                ("c", 2 * var + 1, "B" if bit else "W")]
-
-    return aw, translate
+    return aw, _translator("f", "dnf->aw", lambda var, bit: [
+        ("c", 2 * var, "W" if bit else "B"), ("c", 2 * var + 1, "B" if bit else "W")])
 
 
 def aw_to_indep(inst: AllWhiteInstance):
@@ -322,16 +328,8 @@ def aw_to_indep(inst: AllWhiteInstance):
         hyperedges=[tuple(sorted(n)) for n in inst.r_neighbors()],
         s={l for l in range(inst.num_l) if inst.colors[l]},
     )
-
-    def translate(token):
-        if token[0] == "q":
-            return [("q",)]
-        if token[0] != "c":
-            raise UndecodableUpdate(f"aw->indep cannot translate {token!r}")
-        _, node, color = token
-        return [("s", "+" if color == "W" else "-", node)]
-
-    return hg, translate
+    return hg, _translator("c", "aw->indep", lambda node, color: [
+        ("s", "+" if color == "W" else "-", node)])
 
 
 def indep_to_dnf(inst: HypergraphInstance):
@@ -343,16 +341,8 @@ def indep_to_dnf(inst: HypergraphInstance):
         assignment=[1 if v in inst.s else 0 for v in range(inst.num_nodes)],
         width=max((len(e) for e in inst.hyperedges), default=0),
     )
-
-    def translate(token):
-        if token[0] == "q":
-            return [("q",)]
-        if token[0] != "s":
-            raise UndecodableUpdate(f"indep->dnf cannot translate {token!r}")
-        _, sign, v = token
-        return [("f", v, 1 if sign == "+" else 0)]
-
-    return dnf, translate
+    return dnf, _translator("s", "indep->dnf", lambda sign, v: [
+        ("f", v, 1 if sign == "+" else 0)])
 
 
 def aw_to_ov(inst: AllWhiteInstance):
@@ -364,16 +354,8 @@ def aw_to_ov(inst: AllWhiteInstance):
         columns=[sorted(n) for n in inst.r_neighbors()],
         u=[0 if inst.colors[l] else 1 for l in range(inst.num_l)],
     )
-
-    def translate(token):
-        if token[0] == "q":
-            return [("q",)]
-        if token[0] != "c":
-            raise UndecodableUpdate(f"aw->ov cannot translate {token!r}")
-        _, node, color = token
-        return [("u", node, 0 if color == "W" else 1)]
-
-    return ov, translate
+    return ov, _translator("c", "aw->ov", lambda node, color: [
+        ("u", node, 0 if color == "W" else 1)])
 
 
 def ov_to_aw(inst: SparseOvInstance):
@@ -383,16 +365,7 @@ def ov_to_aw(inst: SparseOvInstance):
         edges=sorted((i, j) for j, col in enumerate(inst.columns) for i in col),
         colors=[inst.u[i] == 0 for i in range(inst.n)],
     )
-
-    def translate(token):
-        if token[0] == "q":
-            return [("q",)]
-        if token[0] != "u":
-            raise UndecodableUpdate(f"ov->aw cannot translate {token!r}")
-        _, i, bit = token
-        return [("c", i, "B" if bit else "W")]
-
-    return aw, translate
+    return aw, _translator("u", "ov->aw", lambda i, bit: [("c", i, "B" if bit else "W")])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .framework import (
     OracleDesync,
     ParseError,
     ProbeMeter,
+    UndecodableUpdate,
     env_budget,
 )
 from .dnf import Clause, ClauseCounters, DnfInstance, FirstDnfInstance
@@ -389,7 +390,6 @@ class FdtOracle:
     """
 
     def __init__(self, inst: FdtInstance):
-        self.updates = 0
         trees = inst.trees
         # the cut: the top-ranked read-free tree, lowest index on ties,
         # found by following each root's write chain
@@ -441,7 +441,6 @@ class FdtOracle:
         )
 
     def update(self, position: int, value: int):
-        self.updates += 1
         if not 0 <= position < self.paths.num_vars:
             raise IndexOutOfRange(
                 f"position {position + 1} out of range 1..{self.paths.num_vars}")
@@ -517,5 +516,5 @@ def completeness_harness(
         elif tok[0] == "q":
             consult([], tok)
         else:
-            raise ParseError(f"harness cannot decode update {tok!r}")
+            raise UndecodableUpdate(f"harness cannot decode update {tok!r}")
     return answers

@@ -13,11 +13,15 @@ refresh both on the way down their path: merge needs no pass back up, and
 split only one for the minima. Cut pops each edge arc off the front of
 what follows it, with the probe count of the one-arc split it replaces.
 
+`link` reports whether it joined two trees: it returns False, after the
+same two root lookups, when its ends already share one (or are one
+vertex), so a caller asks "same tree?" and links in one call.
+
 `build` lays a whole greedy forest out in one pass (a DFS tour per tree,
-treaps by Cartesian-tree construction). `tree_of`, `tree_vertices` and
-`smaller_side` are read-only tour walks for provers searching a cut: they
-charge no meter and draw no priorities, so the forest's own per-operation
-budgets and seeded shapes are untouched.
+treaps by Cartesian-tree construction). `tree_of` and `smaller_side` are
+read-only tour walks for provers searching a cut: they charge no meter
+and draw no priorities, so the forest's own per-operation budgets and
+seeded shapes are untouched.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ from .framework import DyncxError, ProbeMeter
 from .oracles import UnionFind
 
 INF = sys.maxsize  # the minimum over no self-arc; above every vertex id
-
-
-class WouldCycle(DyncxError):
-    """Linking two vertices already in the same tree."""
 
 
 class NotTreeEdge(DyncxError):
@@ -351,11 +351,13 @@ class DynamicForest:
         meter.end_op("connected")
         return root_u is root_v
 
-    def link(self, u: int, v: int):
+    def link(self, u: int, v: int) -> bool:
+        """Join u's tree to v's by the edge (u, v): True if it did, False,
+        leaving the forest as it was, if u and v are already in one tree."""
         self._check(u)
         self._check(v)
         if u == v:
-            raise WouldCycle("self-loop")
+            return False
         meter = self.meter
         meter.start_op()
         root_u, depth_u, pos_u = _climb(self._self_arc[u])
@@ -364,7 +366,7 @@ class DynamicForest:
         if root_u is root_v:
             meter.count += probes
             meter.end_op("link")
-            raise WouldCycle(f"{u} and {v} already connected")
+            return False
         # rotate each tour to start at its endpoint; the trees differ, so
         # rotating u's leaves v's walk valid. Each rotation is charged the
         # position and root lookups it rests on.
@@ -381,6 +383,7 @@ class DynamicForest:
         meter.count += (probes + 2 * (depth_u + depth_v + 1)
                         + 2 * (nodes_u + nodes_v + m1 + m2 + m3))
         meter.end_op("link")
+        return True
 
     def cut(self, u: int, v: int):
         if (u, v) not in self._edge_arc:
@@ -481,12 +484,6 @@ class DynamicForest:
         link or cut."""
         self._check(v)
         return _top(self._self_arc[v])
-
-    def tree_vertices(self, v: int) -> list[int]:
-        """The vertices of v's tree, in tour order from v."""
-        self._check(v)
-        arc = self._self_arc[v]
-        return [v] + _walk(arc, arc)
 
     def smaller_side(self, u: int, v: int) -> list[int]:
         """The vertices of the smaller side that `cut(u, v)` would leave,

@@ -390,6 +390,16 @@ def test_bad_flip_names_the_file_ids(argv, message, files, capsys):
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_complete_demo_refuses_an_update_it_cannot_apply(files, capsys):
+    # an edge update parses, but the harness only applies flips and queries
+    stream = Path(files["flips.txt"]).with_name("edge.txt")
+    stream.write_text("e + 1 2\n")
+    rc = main(["complete-demo", "--in", files["inst.dnf"], "--updates", str(stream)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: harness cannot decode update") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("line, message", [
     ("e 2 9", "line 6: 'e 2 9': edge (2,9) out of range"),
     ("e 4 3", "line 6: 'e 4 3': edge (3,4) already present"),
@@ -640,7 +650,8 @@ def test_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
     trees = fdt.compile_dnf_verifier_to_trees(inst)
     oracle = fdt.FdtOracle(fdt.FdtInstance(list(inst.assignment), list(trees)))
     assert list(oracle.path_tree) == list(range(len(inst.clauses) + 1))
-    fdt.completeness_harness(trees, inst.assignment, stream, oracle=oracle)
+    trace = []
+    fdt.completeness_harness(trees, inst.assignment, stream, oracle=oracle, trace=trace)
     verifiers = []
 
     def factory(i):
@@ -648,6 +659,7 @@ def test_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
         return verifiers[0]
 
     run_protocol(factory, dnf.honest_dnf_prover(), inst, stream)
-    meters = [counters.meter.count, oracle.paths.meter.count, oracle.updates,
-              verifiers[0].meter.count]
+    # the harness updates the oracle once per mirrored bit
+    meters = [counters.meter.count, oracle.paths.meter.count,
+              sum(entry["mirrored_bits"] for entry in trace), verifiers[0].meter.count]
     assert meters == [2424, 2424, 200, 489]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -468,7 +469,7 @@ def test_forest_meter_counts_are_pinned():
     for token in stream:
         assert protocol.apply(token).valid
     counts.append(protocol.forest.meter.count)
-    assert counts == [0, 10731, 297, 11690]
+    assert counts == [0, 10254, 297, 11236]
 
 
 def test_forest_meter_counts_are_pinned_at_perfbench_size():
@@ -488,7 +489,7 @@ def test_forest_meter_counts_are_pinned_at_perfbench_size():
     counts = [verifiers[0].forest.meter.count, protocol.forest.meter.count]
     reports = [protocol.initial_report()] + [protocol.apply(token) for token in stream]
     counts.append(protocol.forest.meter.count)
-    assert counts == [25430, 3480, 30117]
+    assert counts == [24253, 3480, 28940]
     assert all(report.valid for report in reports)
     rows = json.dumps([[record.to_dict() for record in transcript.records],
                        [dataclasses.asdict(report) for report in reports]]).encode()
@@ -545,11 +546,43 @@ def test_honest_replacement_prover_names_a_straddling_edge():
     protocol = SpanningForestProtocol(graph)
     protocol.graph.delete(0, 1)
     protocol.oracle.delete(0, 1)
-    protocol.forest.cut(0, 1)
+    # the protocol asks before it cuts
     proposal = honest_replacement_prover(protocol, (0, 1))
+    protocol.forest.cut(0, 1)
     assert proposal is not None
     a, b = proposal
-    assert protocol.graph.has(a, b)
+    assert protocol.graph.has(a, b) and not protocol.forest.connected(a, b)
+
+
+def test_both_honest_provers_name_the_same_replacement():
+    """At every forest-edge deletion of a seeded churn, the connectivity
+    verifier's prover and the spanning protocol's, each on its own uncut
+    forest, name the same edge, or both none; the forests stay equal."""
+    graph, stream = churn(random.Random(23), 40, 100, 120)
+    verifier = ConnVerifier(graph, forest_seed=5)
+    named = []
+
+    def prover(protocol, cut_edge):
+        named.append(honest_replacement_prover(protocol, cut_edge))
+        return named[-1]
+
+    protocol = SpanningForestProtocol(graph, prover=prover, forest_seed=5)
+    outcomes = set()
+    for token in stream:
+        _, sign, u, v = token
+        cutting = sign == "-" and verifier.forest.has_edge(u, v)
+        proof = honest_conn_prover(verifier, token)
+        named.clear()
+        verifier.step(token, proof)
+        assert protocol.apply(token).valid
+        # a split is no question for the spanning protocol's prover
+        assert len(named) <= cutting
+        if cutting:
+            edge = named[0] if named else None
+            assert proof == (BOTTOM if edge is None else encode_edge(*edge))
+            outcomes.add(edge is None)
+        assert verifier.forest.tree_edges() == protocol.forest.tree_edges()
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +628,7 @@ def test_kconn_counts_oracle_touches():
     g = DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)})
     v = KconnVerifier(g, k=3)
     v.step(("q",), encode_edge(0, 1) + encode_edge(2, 3))
-    assert v.last_touches == 2 * 2 + 1
+    assert v.conn.calls == 2 * 2 + 1
 
 
 def test_kconn_proof_space_orders_by_size_then_payload():
@@ -620,8 +653,6 @@ def test_kconn_completeness_with_mincut_prover(rng):
         stream = UpdateStream(rand_edge_stream(rng, graph, 12))
 
         def judge(g):
-            if g.num_nodes < 2:
-                return 0
             value, _ = mincut_bruteforce(g)
             return 1 if value < k else 0
 
@@ -672,6 +703,8 @@ def test_mincut_examples():
     value, witness = mincut_bruteforce(DynamicGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}))
     assert value == 2 and len(witness) == 2
     assert mincut_bruteforce(DynamicGraph(2, set())) == (0, set())
+    # below two nodes there is no cut
+    assert mincut_bruteforce(DynamicGraph(1)) == (math.inf, set())
     with pytest.raises(BudgetExceeded):
         mincut_bruteforce(DynamicGraph(100), budget=64)
 
@@ -732,6 +765,7 @@ def test_kconn_keeps_one_edge_set_and_copies_it():
     sim = v.copy()
     assert sim.graph is sim.conn.graph and sim.conn is not v.conn
     out = sim.step(("e", "-", 1, 2), encode_edge(0, 3))
-    assert (out.x, out.y, sim.last_touches) == (1, 1, 3)
+    # one call routes the update, then 2|S| + 1 for the proof
+    assert (out.x, out.y, sim.conn.calls) == (1, 1, 1 + 3)
     assert v.graph.edges == {(0, 1), (1, 2), (2, 3), (0, 3)} and v.conn.calls == 0
     assert sim.graph.edges == {(0, 1), (2, 3), (0, 3)}

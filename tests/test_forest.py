@@ -3,7 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncx.forest import INF, DynamicForest, NotTreeEdge, WouldCycle, _Arc, _climb, _walk
+from dyncx.forest import INF, DynamicForest, NotTreeEdge, _Arc, _climb, _walk
 from dyncx.framework import BudgetExceeded, polylog_budget
 from dyncx.oracles import component_count, components
 
@@ -32,12 +32,17 @@ def test_cut_works_from_either_endpoint_order():
 
 def test_link_rejects_cycles_and_self_loops():
     f = DynamicForest(3)
-    f.link(0, 1)
-    f.link(1, 2)
-    with pytest.raises(WouldCycle):
-        f.link(0, 2)
-    with pytest.raises(WouldCycle):
-        f.link(1, 1)
+    assert f.link(0, 1)
+    assert f.link(1, 2)
+    # a refused link charges the two root lookups `connected` makes, a
+    # self-loop nothing
+    probes = f.meter.count
+    f.connected(0, 2)
+    lookups = f.meter.count - probes
+    assert not f.link(0, 2)
+    assert f.meter.count == probes + 2 * lookups
+    assert not f.link(1, 1)
+    assert f.meter.count == probes + 2 * lookups
     # the failed links must not corrupt the tour
     assert f.connected(0, 2) and f.edge_count == 2
 
@@ -233,9 +238,6 @@ def test_tour_walks_read_without_metering_or_drawing(rng):
         edges.add((min(u, v), max(u, v)))
         probes, state = f.meter.count, f._rng.getstate()
         comp = components(n, edges)
-        w = rng.randrange(n)
-        assert sorted(f.tree_vertices(w)) == [x for x in range(n) if comp[x] == comp[w]]
-        assert f.tree_vertices(w)[0] == w
         a, b = rng.choice(sorted(edges))
         side = f.smaller_side(a, b)
         rest = components(n, edges - {(a, b)})
@@ -368,11 +370,11 @@ class RecursiveForest(DynamicForest):
         self._check(u)
         self._check(v)
         if u == v:
-            raise WouldCycle("self-loop")
+            return False
         self.meter.start_op()
         if self._root(self._self_arc[u]) is self._root(self._self_arc[v]):
             self.meter.end_op("link")
-            raise WouldCycle(f"{u} and {v} already connected")
+            return False
         tour_u = self._reroot(u)
         tour_v = self._reroot(v)
         arc_uv = _Arc(u, v, self._rng.random())
@@ -382,6 +384,7 @@ class RecursiveForest(DynamicForest):
         self._merge(self._merge(self._merge(tour_u, arc_uv), tour_v), arc_vu)
         self._edges += 1
         self.meter.end_op("link")
+        return True
 
     def cut(self, u, v):
         if (u, v) not in self._edge_arc:
@@ -445,7 +448,7 @@ def run_op(f, op):
         if kind == "min":
             return f.component_min(a), None
         return f.component_size(a), None
-    except (WouldCycle, NotTreeEdge, BudgetExceeded) as exc:
+    except (NotTreeEdge, BudgetExceeded) as exc:
         return None, type(exc)
 
 
@@ -593,7 +596,8 @@ def test_tour_walk_shortcut_keeps_vertices_and_their_order(rng):
             root = f.tree_of(v)
             tour = vertices_by_position(root, 0, root.size)
             at = tour.index(v)
-            assert f.tree_vertices(v) == tour[at:] + tour[:at]
+            arc = f._self_arc[v]
+            assert [v] + _walk(arc, arc) == tour[at:] + tour[:at]
         for _ in range(10):
             x, end = rng.choice(arcs), rng.choice(arcs)
             root, _, i = _climb(x)
