@@ -234,9 +234,11 @@ def honest_conn_prover(verifier: ConnVerifier, token) -> bytes:
 
 
 def cycle_making_prover(verifier: ConnVerifier, token) -> bytes:
-    """Adversarial: proposes an edge already inside one forest component."""
+    """Adversarial: proposes an edge already inside one forest component,
+    found by the forest's unmetered `tree_of`."""
+    forest = verifier.forest
     for a, b in sorted(verifier.graph.edges):
-        if verifier.forest.connected(a, b):
+        if forest.tree_of(a) is forest.tree_of(b):
             return encode_edge(a, b)
     return b"\x00" * 8
 
@@ -494,7 +496,6 @@ class SpanningForestProtocol:
         self.oracle.delete(u, v)
         if not self.forest.has_edge(u, v):
             return self.report(token)
-        old_rep = self.forest.component_min(u)
         if self.oracle.is_connected():
             # a replacement exists somewhere; the prover must name it, and
             # reads the forest before the cut
@@ -503,10 +504,9 @@ class SpanningForestProtocol:
             self.desynced = not self._replacement_ok(proposal)
             return self.report(token)
         self._cut(u, v)
-        # true split: the side without the old representative needs one
-        side_u_min = self.forest.component_min(u)
-        side_v_min = self.forest.component_min(v)
-        new_rep = side_v_min if side_u_min == old_rep else side_u_min
+        # true split: the old representative was the tree's minimum, so the
+        # smaller of the two sides' minima; the other side needs one
+        new_rep = max(self.forest.component_min(u), self.forest.component_min(v))
         self.reps.add(new_rep)
         self.oracle.insert(new_rep, self.super_node)
         return self.report(token)

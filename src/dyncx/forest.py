@@ -8,10 +8,14 @@ touch O(depth) treap nodes; priorities come from a seeded RNG, so probe
 counts are reproducible and can be held to a per-operation budget.
 
 Treap subtrees carry their size and the minimum self-arc vertex id, which
-makes "smallest node in this component" a root lookup. Split and merge
-refresh both on the way down their path: merge needs no pass back up, and
-split only one for the minima. Cut pops each edge arc off the front of
-what follows it, with the probe count of the one-arc split it replaces.
+makes "smallest node in this component" a root lookup. Merge refreshes
+both on the way down its path. Every split is made at a known arc, a
+self-arc for a link's rotation and each edge arc for a cut, so it is one
+walk up from that arc, dealing each ancestor to one side and refreshing
+it as it goes; cut's form also drops the arc. Each walk is charged the
+nodes the top-down split (and pop) at that arc's position would walk.
+Only cut's order test and `smaller_side` compute a position; every other
+root lookup climbs for the root and depth alone.
 
 `link` reports whether it joined two trees: it returns False, after the
 same two root lookups, when its ends already share one (or are one
@@ -83,6 +87,17 @@ def _top(x: _Arc) -> _Arc:
     return x
 
 
+def _root_depth(x: _Arc) -> tuple[_Arc, int]:
+    """(treap root, depth) of x, in one upward walk."""
+    depth = 0
+    up = x.parent
+    while up is not None:
+        x = up
+        up = x.parent
+        depth += 1
+    return x, depth
+
+
 def _climb(x: _Arc) -> tuple[_Arc, int, int]:
     """(treap root, depth, in-order position) of x, in one upward walk."""
     pos = x.left.size if x.left is not None else 0
@@ -148,65 +163,99 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
     return spine[0]
 
 
-def _pull_min(x: _Arc | None):
-    """Recompute minimum self-arc vertex ids from x up the parent chain,
-    each node from its children; sizes are left as they are."""
-    while x is not None:
-        mn = x.own
-        left = x.left
-        if left is not None and left.min_vertex < mn:
-            mn = left.min_vertex
-        right = x.right
-        if right is not None and right.min_vertex < mn:
-            mn = right.min_vertex
-        x.min_vertex = mn
-        x = x.parent
+def _split_at(x: _Arc, drop: bool = False):
+    """(the arcs before x, x and the arcs after it) of x's treap, and the
+    number of nodes the top-down split at x's position would walk; with
+    drop, x is taken out of the right part, and the count adds the nodes
+    popping it off that part's front would walk.
 
+    One walk from x to the root deals each ancestor to the left result if x
+    lay in its right subtree, else to the right one, relinked above the
+    share dealt so far with its other subtree kept. That is the shape the
+    top-down split builds, which a treap's order and priorities fix anyway
+    (Seidel and Aragon, 1996). Each ancestor's size and minimum are set as
+    it is dealt, from its two final children.
 
-def _split(t: _Arc | None, k: int):
-    """(first k arcs, the rest) of treap t, and the number of nodes on the
-    path split walked down.
-
-    The path's nodes are dealt to the two results top-down, each result's
-    share forming one chain from its root, and each node's size is set on
-    the way: a node kept on the left holds exactly the k arcs still to be
-    dealt, a node sent right its old size less those k. Only the minima
-    need the finished chains, so they alone are recomputed bottom-up.
+    The top-down split walks x's ancestors, x, and the right spine of
+    x.left, down which its last steps go; the pop walks the ancestors dealt
+    right, x, and the left spine of x.right, which takes x's place.
     """
-    walked = 0
-    left_root = right_root = None
-    left_tail = right_tail = None  # deepest node so far in each result
-    while t is not None:
+    walked = 1
+    left = x.left
+    if left is None:
+        left_size, left_min = 0, INF
+    else:
+        left_size, left_min = left.size, left.min_vertex
+        t = left
+        while t is not None:
+            walked += 1
+            t = t.right
+    if drop:
+        right = x.right
         walked += 1
-        below = t.left
-        left_size = below.size if below is not None else 0
-        if k <= left_size:
-            # t and its right subtree go right; split t's left subtree next
-            t.size -= k
-            if right_tail is None:
-                right_root = t
-            else:
-                right_tail.left = t
-            t.parent = right_tail
-            right_tail = t
+        t = right
+        while t is not None:
+            walked += 1
+            t = t.left
+        if right is None:
+            right_size, right_min = 0, INF
         else:
-            t.size = k
-            k -= left_size + 1
-            below = t.right
-            if left_tail is None:
-                left_root = t
-            else:
-                left_tail.right = t
-            t.parent = left_tail
-            left_tail = t
-        t = below
-    if left_tail is not None:
-        left_tail.right = None
-    if right_tail is not None:
-        right_tail.left = None
-    _pull_min(left_tail)
-    _pull_min(right_tail)
-    return left_root, right_root, walked
+            right_size, right_min = right.size, right.min_vertex
+        right_step = 2  # an ancestor dealt right is walked again by the pop
+    else:
+        right = x
+        x.left = None
+        right_size = x.size - left_size
+        right_min = x.own
+        t = x.right
+        if t is not None and t.min_vertex < right_min:
+            right_min = t.min_vertex
+        x.size = right_size
+        x.min_vertex = right_min
+        right_step = 1
+    child = x
+    up = x.parent
+    while up is not None:
+        above = up.parent
+        if up.left is child:
+            walked += right_step
+            up.left = right
+            if right is not None:
+                right.parent = up
+            right_size += 1
+            if up.own < right_min:
+                right_min = up.own
+            t = up.right
+            if t is not None:
+                right_size += t.size
+                if t.min_vertex < right_min:
+                    right_min = t.min_vertex
+            up.size = right_size
+            up.min_vertex = right_min
+            right = up
+        else:
+            walked += 1
+            up.right = left
+            if left is not None:
+                left.parent = up
+            left_size += 1
+            if up.own < left_min:
+                left_min = up.own
+            t = up.left
+            if t is not None:
+                left_size += t.size
+                if t.min_vertex < left_min:
+                    left_min = t.min_vertex
+            up.size = left_size
+            up.min_vertex = left_min
+            left = up
+        child = up
+        up = above
+    if left is not None:
+        left.parent = None
+    if right is not None:
+        right.parent = None
+    return left, right, walked
 
 
 def _merge(a: _Arc | None, b: _Arc | None):
@@ -269,35 +318,10 @@ def _merge(a: _Arc | None, b: _Arc | None):
             prev, b = b, below
 
 
-def _pop_first(x: _Arc):
-    """The treap x leads with the edge arc x taken out, and the number of
-    nodes `_split(root, 1)` would walk: x's ancestors down to it and on down
-    the left spine of x's right subtree, which takes x's place. x owns no
-    vertex, so only its ancestors' sizes change, each by one."""
-    rest = x.right
-    walked = 1
-    below = rest
-    while below is not None:
-        walked += 1
-        below = below.left
-    up = x.parent
-    if rest is not None:
-        rest.parent = up
-    if up is None:
-        return rest, walked
-    up.left = rest
-    while True:
-        walked += 1
-        up.size -= 1
-        if up.parent is None:
-            return up, walked
-        up = up.parent
-
-
-def _rotate(root: _Arc, pos: int):
-    """root's tour rotated to start at in-order position pos, and the number
-    of nodes its split and merge walked."""
-    a, b, split_nodes = _split(root, pos)
+def _rotate(x: _Arc):
+    """x's tour rotated to start at x, and the number of nodes its split and
+    merge walked."""
+    a, b, split_nodes = _split_at(x)
     tour, merge_nodes = _merge(b, a)
     return tour, split_nodes + merge_nodes
 
@@ -325,9 +349,10 @@ class DynamicForest:
     #
     # Probe accounting: a root lookup from x costs depth(x) + 1, a position
     # lookup depth(x), and a split or merge 2 per node on its path (the visit
-    # and the size/minimum refresh); an arc pop is charged as the one-arc
-    # split it stands for. Each operation sums its probes and adds them to
-    # the meter once, before `end_op` checks the budget.
+    # and the size/minimum refresh); a split at an arc is charged the path
+    # of the top-down split at its position, and an arc drop that of the
+    # one-arc split it stands for. Each operation sums its probes and adds
+    # them to the meter once, before `end_op` checks the budget.
 
     def _check(self, v: int):
         if not 0 <= v < self.n:
@@ -345,8 +370,8 @@ class DynamicForest:
         self._check(v)
         meter = self.meter
         meter.start_op()
-        root_u, depth_u, _ = _climb(self._self_arc[u])
-        root_v, depth_v, _ = _climb(self._self_arc[v])
+        root_u, depth_u = _root_depth(self._self_arc[u])
+        root_v, depth_v = _root_depth(self._self_arc[v])
         meter.count += depth_u + depth_v + 2
         meter.end_op("connected")
         return root_u is root_v
@@ -360,8 +385,10 @@ class DynamicForest:
             return False
         meter = self.meter
         meter.start_op()
-        root_u, depth_u, pos_u = _climb(self._self_arc[u])
-        root_v, depth_v, pos_v = _climb(self._self_arc[v])
+        arc_u = self._self_arc[u]
+        arc_v = self._self_arc[v]
+        root_u, depth_u = _root_depth(arc_u)
+        root_v, depth_v = _root_depth(arc_v)
         probes = depth_u + depth_v + 2
         if root_u is root_v:
             meter.count += probes
@@ -370,8 +397,8 @@ class DynamicForest:
         # rotate each tour to start at its endpoint; the trees differ, so
         # rotating u's leaves v's walk valid. Each rotation is charged the
         # position and root lookups it rests on.
-        tour_u, nodes_u = _rotate(root_u, pos_u)
-        tour_v, nodes_v = _rotate(root_v, pos_v)
+        tour_u, nodes_u = _rotate(arc_u)
+        tour_v, nodes_v = _rotate(arc_v)
         arc_uv = _Arc(u, v, self._rng.random())
         arc_vu = _Arc(v, u, self._rng.random())
         self._edge_arc[(u, v)] = arc_uv
@@ -392,22 +419,20 @@ class DynamicForest:
         meter.start_op()
         down = self._edge_arc[(u, v)]
         up = self._edge_arc[(v, u)]
-        root, depth_i, i = _climb(down)
+        _, depth_i, i = _climb(down)
         _, depth_j, j = _climb(up)
         if i > j:
-            down, up, i, j = up, down, j, i
+            down, up = up, down
             depth_i, depth_j = depth_j, depth_i
         # two position lookups, then the root lookup from the earlier arc
         probes = depth_i + depth_j + depth_i + 1
-        a, _, s1 = _split(root, i)
-        rest, s2 = _pop_first(down)  # the down arc leads what follows a
-        _, _, s3 = _split(rest, j - i - 1)  # the inside stays as its own tour
-        c, s4 = _pop_first(up)  # and the up arc leads the tail
+        a, _, s1 = _split_at(down, drop=True)
+        _, c, s2 = _split_at(up, drop=True)  # the inside stays as its own tour
         _, m = _merge(a, c)
         del self._edge_arc[(u, v)]
         del self._edge_arc[(v, u)]
         self._edges -= 1
-        meter.count += probes + 2 * (s1 + s2 + s3 + s4 + m)
+        meter.count += probes + 2 * (s1 + s2 + m)
         meter.end_op("cut")
 
     def build(self, edges):
@@ -463,7 +488,7 @@ class DynamicForest:
         self._check(v)
         meter = self.meter
         meter.start_op()
-        root, depth, _ = _climb(self._self_arc[v])
+        root, depth = _root_depth(self._self_arc[v])
         meter.count += depth + 1
         meter.end_op("component_min")
         return root.min_vertex
@@ -472,7 +497,7 @@ class DynamicForest:
         self._check(v)
         meter = self.meter
         meter.start_op()
-        root, depth, _ = _climb(self._self_arc[v])
+        root, depth = _root_depth(self._self_arc[v])
         meter.count += depth + 1
         meter.end_op("component_size")
         return (root.size + 2) // 3

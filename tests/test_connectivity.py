@@ -158,6 +158,19 @@ def test_soundness_against_adversaries(rng):
     assert fuzz_soundness(ConnVerifier, gen, attackers, trials=60, seed=3) == []
 
 
+def test_cycle_making_prover_leaves_the_verifier_untouched():
+    """The adversary reads the verifier's forest with unmetered tour walks:
+    its search adds nothing to the verifier's probe count or RNG draws."""
+    graph = DynamicGraph(6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
+    verifier = ConnVerifier(graph, forest_seed=2)
+    count = verifier.forest.meter.count
+    state = verifier.forest._rng.getstate()
+    # the first graph edge in sorted order with both ends in one tree
+    assert cycle_making_prover(verifier, ("e", "-", 1, 2)) == encode_edge(0, 1)
+    assert verifier.forest.meter.count == count
+    assert verifier.forest._rng.getstate() == state
+
+
 def test_rewards_never_exceed_one_per_step(rng):
     graph = rand_graph(rng)
     stream = UpdateStream(rand_edge_stream(rng, graph, 40))
@@ -469,7 +482,9 @@ def test_forest_meter_counts_are_pinned():
     for token in stream:
         assert protocol.apply(token).valid
     counts.append(protocol.forest.meter.count)
-    assert counts == [0, 10254, 297, 11236]
+    # a forest-edge deletion climbs for component minima only after the
+    # oracle reports a true split (11236 while it climbed before asking)
+    assert counts == [0, 10254, 297, 10758]
 
 
 def test_forest_meter_counts_are_pinned_at_perfbench_size():
@@ -489,7 +504,8 @@ def test_forest_meter_counts_are_pinned_at_perfbench_size():
     counts = [verifiers[0].forest.meter.count, protocol.forest.meter.count]
     reports = [protocol.initial_report()] + [protocol.apply(token) for token in stream]
     counts.append(protocol.forest.meter.count)
-    assert counts == [24253, 3480, 28940]
+    # minima are read only after a true split (28940 while read before)
+    assert counts == [24253, 3480, 27850]
     assert all(report.valid for report in reports)
     rows = json.dumps([[record.to_dict() for record in transcript.records],
                        [dataclasses.asdict(report) for report in reports]]).encode()

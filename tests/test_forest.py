@@ -3,7 +3,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncx.forest import INF, DynamicForest, NotTreeEdge, _Arc, _climb, _walk
+from dyncx.forest import (INF, DynamicForest, NotTreeEdge, _Arc, _climb, _root_depth,
+                          _split_at, _walk)
 from dyncx.framework import BudgetExceeded, polylog_budget
 from dyncx.oracles import component_count, components
 
@@ -551,8 +552,8 @@ PATH_65 = [(i, i + 1) for i in range(63)]  # node 64 stays alone
      "singleton into a deep tree"),
 ], ids=lambda x: x.replace(" ", "-") if isinstance(x, str) else None)
 def test_tour_end_cuts_and_singleton_links_match_the_reference(n, build_edges, ops, where):
-    """Cuts pop each edge arc off the front of what follows it, and links
-    merge each lone fresh arc onto a tour: at the tour's ends, with
+    """Cuts split at each edge arc and drop it, and links merge each lone
+    fresh arc onto a tour: at the tour's ends, with
     singletons on either side, the shapes, probes and draws are the
     reference's."""
     *before, (kind, u, v) = ops
@@ -565,6 +566,65 @@ def test_tour_end_cuts_and_singleton_links_match_the_reference(n, build_edges, o
                 "two singletons": size == 4}[where]
     for seed in range(8):
         assert drive_pair(n, seed, None, build_edges, ops) is None
+
+
+def churned_forest(rng, n, seed):
+    """A seeded forest on n vertices: a built random forest, then random
+    links and cuts, so tours start and end anywhere."""
+    f = DynamicForest(n, seed=seed)
+    f.build([(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n + 1))])
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if not f.link(u, v) and f.tree_edges():
+            f.cut(*rng.choice(f.tree_edges()))
+    return f
+
+
+def as_reference(f):
+    ref = f.copy()
+    ref.__class__ = RecursiveForest
+    return ref
+
+
+def arc_of(f, key):
+    u, v = key
+    return f._self_arc[u] if u == v else f._edge_arc[key]
+
+
+def test_one_walk_split_matches_the_top_down_split(rng):
+    """For every arc x of seeded treaps, splitting at x by one walk up, and
+    splitting then popping x, give the reference's top-down shapes and walk
+    it as many nodes; the position-free climb reads `_climb`'s root and
+    depth."""
+    seen = {"first": 0, "last": 0, "singleton": 0}
+    for trial in range(40):
+        n = rng.randint(1, 64)
+        f = churned_forest(rng, n, trial)
+        keys = [(x.u, x.v) for x in f._self_arc] + list(f._edge_arc)
+        for key in keys:
+            x = arc_of(f, key)
+            root, depth, pos = _climb(x)
+            assert _root_depth(x) == (root, depth)
+            seen["first"] += pos == 0
+            seen["last"] += pos == root.size - 1
+            seen["singleton"] += root.size == 1
+            for drop in (False, True):
+                got = f.copy()
+                ref = as_reference(f)
+                left, right, walked = _split_at(arc_of(got, key), drop)
+                a, b = ref._split(_climb(arc_of(ref, key))[0], pos)
+                if drop:
+                    _, b = ref._split(b, 1)
+                # each walked node is charged twice: its visit and its refresh
+                assert 2 * walked == ref.meter.count  # a copy starts at zero
+                assert [(t.u, t.v) if t else None for t in (left, right)] == [
+                    (t.u, t.v) if t else None for t in (a, b)]
+                shape, ref_shape = treap_shape(got), treap_shape(ref)
+                if drop:
+                    # the popped arc is left behind; the reference isolates it
+                    del shape[key], ref_shape[key]
+                assert shape == ref_shape
+    assert all(seen.values()), seen
 
 
 def vertices_by_position(root, lo, hi):
