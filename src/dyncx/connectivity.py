@@ -418,16 +418,13 @@ class SpanningForestProtocol:
         n = graph.num_nodes
         self.super_node = n  # G' lives on nodes 0..n
         self.forest = DynamicForest(n, forest_seed)
-        self.forest.build(sorted(self.graph.edges))
+        roots = self.forest.build(sorted(self.graph.edges))
         # the forest's edges, kept sorted through every link and cut, and the
         # copy that reports hand out: the reports of steps that leave the
         # forest alone share one copy, and no later step changes it
         self._forest_edges = sorted(self.forest.tree_edges())
         self._reported_edges = None
-        self.reps: set[int] = set()
-        for v in range(n):
-            if self.forest.component_min(v) == v:
-                self.reps.add(v)
+        self.reps: set[int] = {root.min_vertex for root in roots}
         prime_edges = set(self.graph.edges)
         prime_edges |= {(rep, self.super_node) for rep in self.reps}
         factory = oracle_factory or ForestConnectivityOracle

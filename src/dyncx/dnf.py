@@ -4,7 +4,7 @@ An instance is a DNF formula F over n boolean variables together with a
 current assignment. Updates set one variable; the query is F's value. Two
 routes are implemented: a full scan (`eval_bruteforce`) and per-clause
 unsatisfied-literal counters (`ClauseCounters`) whose flip cost is the
-variable's occurrence-list length. The counters also index the satisfied
+variable's number of occurrences. The counters also index the satisfied
 clauses, so the first satisfied one is at hand after every flip; the
 honest DNF prover (`honest_dnf_prover`) reads its proof from there.
 
@@ -21,6 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 
 from .framework import (
     BOTTOM,
@@ -42,7 +43,7 @@ class VarOutOfRange(ParseError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Conjunction of literals; (var, True) is positive, (var, False) negated.
 
@@ -143,17 +144,25 @@ def eval_bruteforce(inst: DnfInstance) -> int:
 # Counter-based dynamic algorithm
 # ---------------------------------------------------------------------------
 
+_NO_POSITIONS = array("i")  # copied, never filled
+
 
 class ClauseCounters:
     """Per-clause count of unsatisfied literals, a satisfied-clause tally and
     an index of the satisfied clause positions.
 
-    flip() touches exactly the clauses in the variable's occurrence list; a
-    flip to the current value is a no-op. `meter` counts those touches.
-    `first()` names the smallest satisfied position: satisfied positions sit
-    in a lazy min-heap, pushed when their count reaches zero and popped once
-    they are found unsatisfied at its top, so a flip costs its occurrences
-    plus O(log m) per clause it satisfies.
+    Occurrences are kept per variable and sign: `holds[b][var]` lists, in
+    placement order, the positions whose literal on var holds when var = b.
+    flip(var, bit) touches exactly those two lists of var, the positions
+    whose literal turns false and then those whose literal turns true, with
+    no per-occurrence sign test; a flip to the current value is a no-op.
+    `meter` counts those touches. `first()` names the smallest satisfied
+    position: satisfied positions sit in a lazy min-heap, pushed when their
+    count reaches zero and popped once they are found unsatisfied at its
+    top, so a flip costs its occurrences plus O(log m) per clause it
+    satisfies. No clause holds a variable twice, so a position is in at most
+    one of a flip's two lists and the order of the two walks changes
+    neither the counts nor the heap's pushes.
     """
 
     def __init__(self, inst: DnfInstance):
@@ -175,19 +184,24 @@ class ClauseCounters:
     def _fill(self, num_vars, assignment, m, placed):
         self.num_vars = num_vars
         self.assignment = bits = list(assignment)
-        truth = list(map(bool, bits))
-        # occurrences of each variable, flattened: 2 * position + positive
-        self.occ = occ = [array("i") for _ in range(num_vars)]
+        # copying an empty array costs half of building one with array("i")
+        negated, positive = self.holds = (
+            list(map(array.__copy__, repeat(_NO_POSITIONS, num_vars))),
+            list(map(array.__copy__, repeat(_NO_POSITIONS, num_vars))))
         self.unsat = unsat = [0] * m
         self._queued = queued = bytearray(m)  # 1 while a position is in the heap
         self._heap = heap = []
         for j, literals in placed:
             bad = 0
-            code = 2 * j
-            for var, positive in literals:
-                occ[var].append(code + positive)
-                if truth[var] != positive:
-                    bad += 1
+            for var, sign in literals:
+                if sign:
+                    positive[var].append(j)
+                    if not bits[var]:
+                        bad += 1
+                else:
+                    negated[var].append(j)
+                    if bits[var]:
+                        bad += 1
             if bad:
                 unsat[j] = bad
             else:
@@ -217,25 +231,30 @@ class ClauseCounters:
         if self.assignment[var] == bit:
             return self.answer()
         self.assignment[var] = bit
-        occ = self.occ[var]
-        self.meter.count += len(occ)
-        truthy = 1 if bit else 0
-        unsat, queued = self.unsat, self._queued
-        for code in occ:
-            j = code >> 1
-            if code & 1 == truthy:  # literal just became true
-                left = unsat[j] - 1
-                unsat[j] = left
-                if left == 0:
-                    self.satisfied += 1
-                    if not queued[j]:
-                        queued[j] = 1
-                        heappush(self._heap, j)
-            else:
-                if unsat[j] == 0:
-                    self.satisfied -= 1
-                unsat[j] += 1
-        return self.answer()
+        negated, positive = self.holds
+        if bit:
+            turn_true, turn_false = positive[var], negated[var]
+        else:
+            turn_true, turn_false = negated[var], positive[var]
+        self.meter.count += len(turn_true) + len(turn_false)
+        unsat = self.unsat
+        satisfied = self.satisfied
+        for j in turn_false:
+            left = unsat[j]
+            if left == 0:
+                satisfied -= 1
+            unsat[j] = left + 1
+        queued = self._queued
+        for j in turn_true:
+            left = unsat[j] - 1
+            unsat[j] = left
+            if left == 0:
+                satisfied += 1
+                if not queued[j]:
+                    queued[j] = 1
+                    heappush(self._heap, j)
+        self.satisfied = satisfied
+        return 1 if satisfied > 0 else 0
 
     def apply(self, token) -> int:
         if token[0] == "f":

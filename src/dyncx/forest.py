@@ -435,9 +435,12 @@ class DynamicForest:
         meter.count += probes + 2 * (s1 + s2 + m)
         meter.end_op("cut")
 
-    def build(self, edges):
+    def build(self, edges) -> list[_Arc]:
         """Link, in order, each edge whose ends are still in different trees,
         in one O(n + len(edges)) pass; the forest must have no edges yet.
+        Returns each tree's treap root, a lone vertex's self-arc included,
+        in order of the trees' smallest vertices; a root's `min_vertex` is
+        its tree's smallest vertex.
 
         The edge set, `tree_edges()` order and priority draws are those of
         calling `link` on the same edges in turn; only the order of each
@@ -460,14 +463,18 @@ class DynamicForest:
             adj[u].append((v, arc_uv, arc_vu))
             adj[v].append((u, arc_vu, arc_uv))
             self._edges += 1
+        roots = []
         seen = bytearray(self.n)
-        for root in range(self.n):
-            if seen[root] or not adj[root]:
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            if not adj[start]:
+                roots.append(self._self_arc[start])
                 continue
             # Euler tour by DFS: down arc, the child's tour, up arc
-            seen[root] = 1
-            tour = [self._self_arc[root]]
-            stack = [(iter(adj[root]), None)]
+            seen[start] = 1
+            tour = [self._self_arc[start]]
+            stack = [(iter(adj[start]), None)]
             while stack:
                 children, up = stack[-1]
                 for w, down, back in children:
@@ -481,7 +488,8 @@ class DynamicForest:
                     stack.pop()
                     if up is not None:
                         tour.append(up)
-            _cartesian(tour)
+            roots.append(_cartesian(tour))
+        return roots
 
     def component_min(self, v: int) -> int:
         """Smallest vertex id in v's tree."""

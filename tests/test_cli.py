@@ -663,3 +663,81 @@ def test_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
     meters = [counters.meter.count, oracle.paths.meter.count,
               sum(entry["mirrored_bits"] for entry in trace), verifiers[0].meter.count]
     assert meters == [2424, 2424, 200, 489]
+
+
+def with_random_signs(text: str, seed: int) -> str:
+    """`text` with each clause literal negated on a fair coin of
+    `random.Random(seed)`, drawn in file order; the header and assignment
+    lines are kept."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for line in text.splitlines(keepends=True):
+        if line[0] not in "pa":
+            lits = line.split()[:-1]
+            line = " ".join(l if rng.random() < 0.5 else "-" + l for l in lits) + " 0\n"
+        out.append(line)
+    return "".join(out)
+
+
+def test_mixed_sign_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
+    """The input of the pin above with random literal signs, so most
+    variables occur both positive and negated: the exact report bytes of
+    `eval`, `verify --problem dnf` and `complete-demo`, every flag true, and
+    the probe totals of the counters, the oracle, the harness and the
+    verifier. How the counters lay out their occurrences must leave every
+    one of them as it was. The counters' first satisfied clause after each
+    flip and their final counts are checked against a rescan."""
+    import hashlib
+
+    from dyncx import dnf, fdt
+    from dyncx.framework import UpdateStream, run_protocol
+
+    text, updates = sparse_dnf_text(11, 500, 2000, 200)
+    text = with_random_signs(text, 5)
+    (tmp_path / "mixed.dnf").write_text(text)
+    (tmp_path / "flips.txt").write_text(updates)
+    common = ["--in", str(tmp_path / "mixed.dnf"), "--updates", str(tmp_path / "flips.txt")]
+    digests = {}
+    for name, argv in [("eval", ["eval", "--check"]),
+                       ("verify", ["verify", "--problem", "dnf", "--check"]),
+                       ("complete-demo", ["complete-demo"])]:
+        assert main(argv + common) == 0
+        out = capsys.readouterr().out
+        assert all(json.loads(out)["flags"].values())
+        digests[name] = hashlib.sha256(out.replace(str(tmp_path), "TMP").encode()).hexdigest()
+    assert digests == {
+        "eval": "69ca1427aaf85a2041c89c8ef3bc1a1294a87a7dadc9e155bb62a9a6b1cf6e46",
+        "verify": "b39efa91c6f66d4576c52d5716573c90876e2568ff525195c000ca817a8da907",
+        "complete-demo": "aadbfec99ece9cb4230c0ed79e895164c5e1cef319778dcc2da6b0957d9e7c02",
+    }
+
+    inst = dnf.parse_dnf(text)
+    stream = list(UpdateStream.parse(updates))
+    counters = dnf.ClauseCounters(inst)
+    state = inst.copy()
+    for token in stream:
+        counters.apply(token)
+        state.apply(token)
+        # about 250 clauses hold at every step, so the answer is always 1;
+        # the first satisfied clause and the counts show a wrong flip
+        assert counters.first() == next(
+            j for j, c in enumerate(state.clauses) if c.satisfied_by(state.assignment))
+    assert counters.unsat == [
+        sum(bool(state.assignment[v]) != positive for v, positive in c.literals)
+        for c in state.clauses]
+    trees = fdt.compile_dnf_verifier_to_trees(inst)
+    oracle = fdt.FdtOracle(fdt.FdtInstance(list(inst.assignment), list(trees)))
+    trace = []
+    fdt.completeness_harness(trees, inst.assignment, stream, oracle=oracle, trace=trace)
+    verifiers = []
+
+    def factory(i):
+        verifiers.append(dnf.DnfVerifier(i))
+        return verifiers[0]
+
+    run_protocol(factory, dnf.honest_dnf_prover(), inst, stream)
+    meters = [counters.meter.count, oracle.paths.meter.count,
+              sum(entry["mirrored_bits"] for entry in trace), verifiers[0].meter.count]
+    assert meters == [2424, 2424, 200, 600]

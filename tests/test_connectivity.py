@@ -483,8 +483,10 @@ def test_forest_meter_counts_are_pinned():
         assert protocol.apply(token).valid
     counts.append(protocol.forest.meter.count)
     # a forest-edge deletion climbs for component minima only after the
-    # oracle reports a true split (11236 while it climbed before asking)
-    assert counts == [0, 10254, 297, 10758]
+    # oracle reports a true split (11236 while it climbed before asking);
+    # set-up reads each tree's minimum off the root `build` returns and
+    # climbs from no vertex (297 and 10758 while it climbed from each one)
+    assert counts == [0, 10254, 0, 10461]
 
 
 def test_forest_meter_counts_are_pinned_at_perfbench_size():
@@ -504,8 +506,10 @@ def test_forest_meter_counts_are_pinned_at_perfbench_size():
     counts = [verifiers[0].forest.meter.count, protocol.forest.meter.count]
     reports = [protocol.initial_report()] + [protocol.apply(token) for token in stream]
     counts.append(protocol.forest.meter.count)
-    # minima are read only after a true split (28940 while read before)
-    assert counts == [24253, 3480, 27850]
+    # minima are read only after a true split (28940 while read before),
+    # and set-up reads them off `build`'s roots (3480 and 27850 while it
+    # climbed from every vertex)
+    assert counts == [24253, 0, 24370]
     assert all(report.valid for report in reports)
     rows = json.dumps([[record.to_dict() for record in transcript.records],
                        [dataclasses.asdict(report) for report in reports]]).encode()

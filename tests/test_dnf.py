@@ -91,7 +91,7 @@ def test_flip_touches_exactly_occurrence_list(rng):
         bit = 1 - c.assignment[var]  # guaranteed real flip
         before = c.meter.count
         c.flip(var, bit)
-        assert c.meter.count - before == len(c.occ[var])
+        assert c.meter.count - before == len(c.holds[0][var]) + len(c.holds[1][var])
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,7 +161,7 @@ def test_from_literals_places_clauses_in_any_order():
                                                      (1, lits[1])])
     ref = ClauseCounters(DnfInstance(2, [Clause(l) for l in lits], [1, 1]))
     assert (c.unsat, c.satisfied, c.first()) == (ref.unsat, ref.satisfied, 0)
-    assert c.occ == ref.occ
+    assert c.holds == ref.holds
 
 
 def reference_counters(num_vars, assignment, m, placed) -> ClauseCounters:
@@ -169,11 +169,11 @@ def reference_counters(num_vars, assignment, m, placed) -> ClauseCounters:
     the reference for `_fill`."""
     c = ClauseCounters.__new__(ClauseCounters)
     c.num_vars, c.assignment = num_vars, list(assignment)
-    c.occ = [array("i") for _ in range(num_vars)]
+    c.holds = ([array("i") for _ in range(num_vars)], [array("i") for _ in range(num_vars)])
     c.unsat, c._queued, c._heap = [0] * m, bytearray(m), []
     for j, literals in placed:
         for var, positive in literals:
-            c.occ[var].append(2 * j + positive)
+            c.holds[1 if positive else 0][var].append(j)
             if bool(c.assignment[var]) != positive:
                 c.unsat[j] += 1
         if c.unsat[j] == 0:
@@ -198,7 +198,7 @@ def test_fill_matches_the_literal_by_literal_reference(data):
                                max_size=16))
 
     def state(c):
-        return c.occ, c.unsat, c.satisfied, c.first(), c.meter.count
+        return c.holds, c.unsat, c.satisfied, c.first(), c.meter.count
 
     assert state(got) == state(ref)
     for var, bit in moves:

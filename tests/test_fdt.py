@@ -522,8 +522,9 @@ def test_pruned_walk_builds_the_counters_of_the_all_paths_prefix(data):
 
     def agree():
         paths, ref = oracle.paths, reference.paths
-        assert [list(codes) for codes in paths.occ] == [
-            [code for code in codes if code >> 1 < kept] for codes in ref.occ]
+        for sign in (0, 1):
+            assert [list(held) for held in paths.holds[sign]] == [
+                [j for j in held if j < kept] for held in ref.holds[sign]]
         assert paths.unsat == ref.unsat[:kept]
         assert paths.satisfied == ref.unsat[:kept].count(0)
 

@@ -201,6 +201,24 @@ def test_build_matches_linking_one_by_one(rng):
             assert built.tree_edges() == ref.tree_edges()
 
 
+def test_build_returns_each_tree_root(rng):
+    """One treap root per tree, lone vertices' self-arcs included, in order
+    of the trees' smallest vertices, each holding that vertex as its
+    `min_vertex`; reading them charges nothing."""
+    for trial in range(40):
+        n = rng.randint(1, 24)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+        f = DynamicForest(n, seed=trial)
+        roots = f.build(edges)
+        assert f.meter.count == 0
+        tops = [_root_depth(f._self_arc[v])[0] for v in range(n)]
+        assert [root.min_vertex for root in roots] == sorted(
+            {f.component_min(v) for v in range(n)})
+        assert {id(root) for root in roots} == {id(top) for top in tops}
+        assert all(root.parent is None for root in roots)
+
+
 def test_build_skips_edges_inside_a_tree_and_needs_an_edgeless_forest():
     f = DynamicForest(4)
     f.build([(0, 1), (1, 2), (0, 2), (2, 2), (1, 3)])
