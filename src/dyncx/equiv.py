@@ -30,6 +30,17 @@ WHITE = True
 BLACK = False
 
 
+def check_edge(seen: set, l: int, r: int, num_l: int, num_r: int):
+    """The one per-edge rule, for `parse_aw` and `AllWhiteInstance.validate`:
+    (l, r) lies in range and is not in `seen`, which it then joins. Ids are
+    named 1-based, as the file writes them."""
+    if not (0 <= l < num_l and 0 <= r < num_r):
+        raise ParseError(f"edge ({l + 1},{r + 1}) out of range")
+    if (l, r) in seen:
+        raise ParseError(f"duplicate edge ({l + 1},{r + 1})")
+    seen.add((l, r))
+
+
 @dataclass
 class AllWhiteInstance:
     num_l: int
@@ -43,26 +54,28 @@ class AllWhiteInstance:
             raise ParseError("colors length != |L|")
         seen = set()
         for l, r in self.edges:
-            if not (0 <= l < self.num_l and 0 <= r < self.num_r):
-                raise ParseError(f"edge ({l},{r}) out of range")
-            if (l, r) in seen:
-                raise ParseError(f"duplicate edge ({l},{r})")
-            seen.add((l, r))
+            check_edge(seen, l, r, self.num_l, self.num_r)
         if self.width is not None:
             deg = [0] * self.num_r
             for _, r in self.edges:
                 deg[r] += 1
                 if deg[r] > self.width:
-                    raise ParseError(f"R node {r} exceeds declared width")
+                    raise ParseError(f"R node {r + 1} exceeds declared width")
         return self
 
     __post_init__ = validate
 
+    @staticmethod
+    def _unchecked(num_l, num_r, edges, colors, width=None) -> "AllWhiteInstance":
+        """An instance from parts already checked, without a second check."""
+        inst = object.__new__(AllWhiteInstance)
+        inst.num_l, inst.num_r, inst.width = num_l, num_r, width
+        inst.edges, inst.colors = edges, colors
+        return inst
+
     def copy(self) -> "AllWhiteInstance":
-        dup = object.__new__(AllWhiteInstance)  # a checked instance's copy: no check
-        dup.num_l, dup.num_r, dup.width = self.num_l, self.num_r, self.width
-        dup.edges, dup.colors = list(self.edges), list(self.colors)
-        return dup
+        return AllWhiteInstance._unchecked(
+            self.num_l, self.num_r, list(self.edges), list(self.colors), self.width)
 
     def r_neighbors(self) -> list[list[int]]:
         nbrs = [[] for _ in range(self.num_r)]
@@ -74,7 +87,7 @@ class AllWhiteInstance:
         if token[0] == "c":
             _, node, color = token
             if not 0 <= node < self.num_l:
-                raise ParseError(f"L node {node} out of range")
+                raise ParseError(f"L node {node + 1} out of range")
             self.colors[node] = color == "W"
         elif token[0] == "q":
             pass
@@ -114,7 +127,7 @@ class AllWhiteCounters:
         masks = [0] * inst.num_l
         for l, r in inst.edges:
             masks[l] |= 1 << (width * r)
-        self._fill(inst.num_r, masks, inst.colors)
+        self._fill(inst.num_r, masks, list(inst.colors))
 
     @staticmethod
     def layout(num_l: int, num_r: int) -> tuple[int, int]:
@@ -127,7 +140,10 @@ class AllWhiteCounters:
     def from_masks(cls, num_r: int, masks, colors) -> "AllWhiteCounters":
         """Counters over neighbor masks (one per L node) already in the
         packed layout: bit w*r of masks[l] is set when (l, r) is an edge,
-        with w from `layout(len(masks), num_r)`. Nothing is validated."""
+        with w from `layout(len(masks), num_r)`. Both lists are kept as
+        they are handed over, not copied: `set_color` writes to `colors`,
+        so the caller passes lists it no longer changes. Nothing is
+        validated."""
         self = cls.__new__(cls)
         self._fill(num_r, masks, colors)
         return self
@@ -136,13 +152,12 @@ class AllWhiteCounters:
         width, unit = self.layout(len(masks), num_r)
         self.high = unit << (width - 1)  # the guard bit of every field
         self.low = self.high - unit  # 2^(w-1) - 1 in every field
-        self.masks = list(masks)
-        self.colors = [WHITE] * len(self.masks)
-        self.count = 0
+        self.masks, self.colors = masks, colors
+        count = 0
         for node, white in enumerate(colors):
             if not white:
-                self.colors[node] = BLACK
-                self.count += self.masks[node]
+                count += masks[node]
+        self.count = count
         self.ops = 0
 
     def _any_zero(self) -> int:
@@ -425,15 +440,25 @@ def graph_set_independent(edges, node_set) -> bool:
 
 
 def parse_aw(text: str) -> AllWhiteInstance:
-    edges = []
-    colors = []
+    """Each line is checked as it is read, against the header counts, so an
+    error names its line: edge lines by `check_edge` (the rule
+    `AllWhiteInstance.validate` applies) and color lines for range. With
+    every line checked, the instance is built without a second check."""
+    edges: list[tuple[int, int]] = []
+    seen: set = set()
+    colors: list[bool] = []
+    num_r = 0
 
     def start(counts):
+        nonlocal num_r
         colors.extend([WHITE] * counts[0])
+        num_r = counts[1]
 
     def line(parts, _):
         if parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            l, r = int(parts[1]) - 1, int(parts[2]) - 1
+            check_edge(seen, l, r, len(colors), num_r)
+            edges.append((l, r))
         elif parts[0] == "c":
             if parts[2] not in ("W", "B"):
                 raise ParseError("color must be W or B")
@@ -445,7 +470,7 @@ def parse_aw(text: str) -> AllWhiteInstance:
             raise ParseError("unknown line")
 
     num_l, num_r = read_lines(text, line, ("aw", 2), on_header=start)
-    return AllWhiteInstance(num_l, num_r, edges, colors)
+    return AllWhiteInstance._unchecked(num_l, num_r, edges, colors)
 
 
 def format_aw(inst: AllWhiteInstance) -> str:

@@ -462,30 +462,45 @@ def format_dimacs(inst: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _failure_masks(clauses, half: int, width: int, unit: int) -> list[int]:
-    """fails[c]: the first-half assignments u1 that satisfy no first-half
-    literal of clause c, one bit in field u1 of the packed layout each.
+def _read_literals(clauses, n: int, half: int, width: int, unit: int):
+    """One pass over the literals: (fails, pos, neg, held).
 
-    Apart from the driver so that `ones` is freed before the phases run:
-    the masks are w times the size of a plain bit mask."""
-    # ones[v]: the u1 whose bit v is 1. Adding 2^v to u1 flips its bit v+1
-    # exactly when its bit v is 1, so each mask is the one above XOR that
-    # mask shifted down by 2^v fields; `unit` plays the mask above the top one.
-    ones = [0] * half
-    mask = unit
+    fails[c] holds the first-half assignments u1 that satisfy no
+    first-half literal of clause c, one bit in field u1 of the packed
+    layout each. pos[v] and neg[v] list the clauses holding +x and -x for
+    the second half's variable v, in clause order and once per occurrence.
+    held[c] counts clause c's second-half literals that hold when the
+    second half is all zeros, its negative ones. Apart from the driver so
+    that the per-literal masks are freed before the phases run: they are w
+    times the size of a plain bit mask."""
+    # table[lit] for a literal of the first half: the u1 that falsify it; for
+    # one of the second half: the clauses holding it. A negative literal
+    # indexes the table from its end. ones, the u1 whose bit v is 1, fail
+    # -x_v. Adding 2^v to u1 flips its bit v+1 exactly when its bit v is 1,
+    # so each such mask is the one above XOR that mask shifted down by 2^v
+    # fields; `unit` plays the mask above the top one.
+    table: list = [None] * (2 * n + 1)
+    ones = unit
     for v in reversed(range(half)):
-        mask ^= mask >> (width << v)
-        ones[v] = mask
-    fails = []
-    shared: dict[int, int] = {}  # clauses whose masks are equal share one int
-    for clause in clauses:
-        mask = unit
+        ones ^= ones >> (width << v)
+        table[v + 1], table[-v - 1] = unit ^ ones, ones
+    for x in range(half + 1, n + 1):
+        table[x], table[-x] = [], []
+    fails, held = [], []
+    for c, clause in enumerate(clauses):
+        mask, negs = unit, 0
         for lit in clause:
-            v = abs(lit) - 1
-            if v < half:
-                mask &= ones[v] if lit < 0 else unit ^ ones[v]
-        fails.append(shared.setdefault(mask, mask))
-    return fails
+            entry = table[lit]
+            if -half <= lit <= half:
+                # a clause with one first-half literal shares that literal's mask
+                mask = entry if mask is unit else mask & entry
+            else:
+                entry.append(c)
+                negs += lit < 0
+        fails.append(mask)
+        held.append(negs)
+    second = range(half + 1, n + 1)
+    return fails, [table[x] for x in second], [table[-x] for x in second], held
 
 
 def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None,
@@ -498,22 +513,30 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     the second half, colors each clause white iff that half already
     satisfies it, and queries; a YES phase exhibits a first-half node
     none of whose still-unsatisfied (black) clauses it misses, i.e. a
-    satisfying full assignment. Phases walk the second half in Gray-code
-    order so only status-changing clauses get recolored; total solver
-    operations stay within 2^(n/2) * (#clauses + 1).
+    satisfying full assignment. Phases walk the second half in
+    reflected Gray-code order so only status-changing clauses get
+    recolored; total solver operations stay within 2^(n/2) * (#clauses + 1).
 
-    The edges are built as one failure mask per clause, in the packed
-    layout of `AllWhiteCounters` (one w-bit field per scanned node, w from
+    One pass reads each literal once through a table indexed by the
+    signed literal. A first-half literal ANDs its failure mask into its
+    clause's, a second-half literal adds its clause to that literal's
+    occurrence list, and each negative second-half literal counts toward
+    its clause holding at phase 0. The masks are in the packed layout of
+    `AllWhiteCounters` (one w-bit field per scanned node, w from
     `AllWhiteCounters.layout`): bit w*u1 is set when u1 fails the clause.
-    A first-half variable's mask (the u1 whose bit v is 1) takes one shift
-    and one XOR, and a clause's mask is the AND of its first-half
-    literals' masks or their complements, so the scanned side costs
-    O(n + #literals) big-int operations. The default solver takes these
-    masks as they are (`AllWhiteCounters.from_masks`) and no edge list is
-    built. A caller's `aw_solver` still gets the paper's
-    `AllWhiteInstance`, its edge list read off the masks. A phase first
-    recolors the clauses that gain a satisfied literal, then those that
-    lose one, so a clause holding both x and -x of a second-half variable
+    A first-half variable's mask (the u1 whose bit v is 1) takes one
+    shift and one XOR, so the scanned side costs O(n + #literals) big-int
+    operations. The default solver keeps these masks as they are
+    (`AllWhiteCounters.from_masks`) and no edge list is built. A caller's
+    `aw_solver` still gets the paper's `AllWhiteInstance`, its edge list
+    read off the masks.
+
+    Phase i flips the second-half variable that the ruler sequence
+    0 1 0 2 0 1 0 3 ... names at i (Bitner, Ehrlich and Reingold, CACM
+    1976), and each variable keeps the pair (clauses that gain a satisfied
+    literal, clauses that lose one) for its next flip, swapped after each
+    flip. A phase recolors the gaining clauses first, then the losing
+    ones, so a clause holding both x and -x of a second-half variable
     stays white rather than turning black and white again.
     """
     budget = env_budget() if budget is None else budget
@@ -525,21 +548,11 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
 
     num_r = 2 ** half
     width, unit = AllWhiteCounters.layout(m, num_r)
-    fails = _failure_masks(cnf.clauses, half, width, unit)
-
-    # phase 0: second half all zeros
-    sat2 = [0] * m  # count of satisfied second-half literals per clause
-    pos: list[list[int]] = [[] for _ in range(n - half)]  # clauses holding +x
-    neg: list[list[int]] = [[] for _ in range(n - half)]  # clauses holding -x
-    for c, clause in enumerate(cnf.clauses):
-        for lit in clause:
-            v = abs(lit) - 1 - half
-            if v >= 0:
-                if lit > 0:
-                    pos[v].append(c)
-                else:
-                    neg[v].append(c)
-                    sat2[c] += 1
+    # gains[v], losses[v]: the clauses that gain and lose a satisfied literal
+    # on second-half variable v's next flip, the first one from 0 to 1.
+    # sat2[c]: clause c's satisfied second-half literals, that half being all
+    # zeros at phase 0
+    fails, gains, losses, sat2 = _read_literals(cnf.clauses, n, half, width, unit)
     colors = [count > 0 for count in sat2]  # white = satisfied by the half
     if aw_solver is None:
         solver = AllWhiteCounters.from_masks(num_r, fails, colors)
@@ -547,30 +560,30 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
         edges = [(c, u1) for u1 in range(num_r)
                  for c, mask in enumerate(fails) if mask >> (width * u1) & 1]
         solver = aw_solver(AllWhiteInstance(m, num_r, edges, colors))
+    # the ruler sequence: entry j is the lowest set bit of j + 1, the bit in
+    # which the reflected Gray code's words j and j + 1 differ
+    ruler = b""
+    for v in range(n - half):
+        ruler = ruler + bytes((v,)) + ruler
 
     set_color, answer = solver.set_color, solver.answer
     phases = 1
     found = answer() == 1
-    u2 = 0
-    for i in range(1, 2 ** (n - half)):
-        if found:
-            break
-        flip = (i & -i).bit_length() - 1
-        u2 ^= 1 << flip
-        if u2 >> flip & 1:
-            gain, lose = pos[flip], neg[flip]
-        else:
-            gain, lose = neg[flip], pos[flip]
-        for c in gain:
-            sat2[c] += 1
-            if sat2[c] == 1:  # newly satisfied by the half
-                set_color(c, True)
-        for c in lose:
-            sat2[c] -= 1
-            if sat2[c] == 0:  # no longer satisfied by the half
-                set_color(c, False)
-        phases += 1
-        found = answer() == 1
+    if not found:
+        for phases, v in enumerate(ruler, 2):
+            gain, lose = gains[v], losses[v]
+            gains[v], losses[v] = lose, gain
+            for c in gain:
+                sat2[c] += 1
+                if sat2[c] == 1:  # newly satisfied by the half
+                    set_color(c, True)
+            for c in lose:
+                sat2[c] -= 1
+                if sat2[c] == 0:  # no longer satisfied by the half
+                    set_color(c, False)
+            if answer() == 1:
+                found = True
+                break
 
     if stats is not None:
         stats.update(

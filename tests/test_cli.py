@@ -302,6 +302,11 @@ def test_an_instance_is_checked_once_when_it_is_built(files, capsys, monkeypatch
     rc, _ = run_json(capsys, ["sat", "--in", files["sat.cnf"]])
     assert rc == 0 and seen == []
 
+    seen = count_checks(monkeypatch, equiv.AllWhiteInstance)
+    rc, _ = run_json(capsys, ["reduce", "--target", "maxflow", "--in", files["aw.txt"],
+                              "--updates", files["colors.txt"]])
+    assert rc == 0 and seen == []
+
 
 def test_bench_counters_win_at_the_largest_size(capsys):
     rc, payload = run_json(capsys, ["bench", "--sizes", "4,32", "--steps", "40"])
@@ -388,6 +393,15 @@ def test_bad_flip_names_the_file_ids(argv, message, files, capsys):
     rc = main(argv + ["--in", files["inst.dnf"], "--updates", str(stream)])
     assert rc == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_reduce_names_an_out_of_range_color_by_the_file_id(tmp_path, capsys):
+    inst, stream = tmp_path / "aw.txt", tmp_path / "colors.txt"
+    inst.write_text("p aw 2 2\ne 1 1\ne 2 2\n")
+    stream.write_text("q\nc 9 W\n")
+    rc = main(["reduce", "--target", "maxflow", "--in", str(inst), "--updates", str(stream)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: L node 9 out of range\n"
 
 
 def test_complete_demo_refuses_an_update_it_cannot_apply(files, capsys):

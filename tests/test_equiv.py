@@ -68,7 +68,9 @@ def test_aw_counters_direct_calls_track_bruteforce_and_charge_every_call(rng):
     for _ in range(80):
         inst = rand_aw(rng, l_hi=20, r_hi=70)
         c = AllWhiteCounters(inst)
-        twin = AllWhiteCounters.from_masks(inst.num_r, edge_masks(inst), inst.colors)
+        # from_masks keeps the colors list it is handed, and the test changes
+        # inst.colors itself below, so the twin gets its own copy
+        twin = AllWhiteCounters.from_masks(inst.num_r, edge_masks(inst), list(inst.colors))
         calls = 0
         for _ in range(60):
             if inst.num_l and rng.random() < 0.7:

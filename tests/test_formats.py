@@ -164,6 +164,8 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_graph, "p graph 3\ne 2 2\n", 2),
     (parse_aw, "p aw 1 1\nc 3 W\n", 2),
     (parse_aw, "p aw 2 1\ne 1 1\nc 0 B\n", 3),
+    (parse_aw, "p aw 2 2\ne 1 1\ne 1 5\n", 3),
+    (parse_aw, "p aw 2 2\ne 2 1\n# a comment\ne 1 2\n\ne 2 1\n", 6),
     (parse_dnf, "p dnf 2 1 2\n3 0\na 0 0\n", 2),
     (parse_dnf, "p dnf 2 2 2\n1 0\n# a comment\n-2 2 0\n", 4),
     (parse_dnf, "p dnf 3 1 2\n1 2 3 0\n", 2),
@@ -172,7 +174,8 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_dnf, "p dnf 2 2 2\n1 0\n1 -2\n", 3),
     (parse_dnf, "p dnf 2 2 2\n1 0\n1 0 2 0\n", 3),
 ], ids=["graph-edge-out-of-range", "graph-repeated-edge", "graph-self-loop",
-        "aw-color-out-of-range", "aw-color-node-zero", "dnf-literal-out-of-range",
+        "aw-color-out-of-range", "aw-color-node-zero", "aw-edge-out-of-range",
+        "aw-repeated-edge", "dnf-literal-out-of-range",
         "dnf-repeated-variable", "dnf-wider-than-declared", "dnf-short-assignment",
         "dnf-order-not-a-permutation", "dnf-clause-without-final-0", "dnf-stray-0"])
 def test_id_checks_name_the_line(parse, text, lineno):

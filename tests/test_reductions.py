@@ -344,6 +344,74 @@ def test_sat_driver_counts_are_pinned():
     assert got == PINNED_SAT_COUNTS
 
 
+class CallLog:
+    """An `aw_solver` that records each call the driver makes: one list of
+    (clause, white) recolors per phase, closed by that phase's answer."""
+
+    def __init__(self, aw):
+        self.solver = AllWhiteCounters(aw)
+        self.phases = [[]]
+        self.answers = 0
+
+    def set_color(self, node, white):
+        self.phases[-1].append((node, white))
+        self.solver.set_color(node, white)
+
+    def answer(self):
+        self.answers += 1
+        self.phases.append([])
+        return self.solver.answer()
+
+
+def check_gray_walk(cnf: CnfInstance):
+    logs = []
+
+    def record(aw):
+        logs.append(CallLog(aw))
+        return logs[-1]
+
+    stats: dict = {}
+    sat_via_allwhite(cnf, aw_solver=record, stats=stats)
+    (log,) = logs
+    # every phase closes with its one answer, and nothing follows the last
+    assert log.answers == stats["phases"] == len(log.phases) - 1
+    assert log.phases.pop() == []
+    half = (cnf.num_vars + cnf.num_vars % 2) // 2
+    # the clause's second-half literals as (bit of u2, value that satisfies it)
+    second = [[(abs(lit) - half - 1, lit > 0) for lit in clause if abs(lit) > half]
+              for clause in cnf.clauses]
+
+    def held(u2):  # the clauses u2 satisfies
+        return {c for c, lits in enumerate(second)
+                if any((u2 >> bit & 1) == value for bit, value in lits)}
+
+    assert log.phases[0] == []  # phase 0 only queries the instance's colors
+    last = 0
+    before = held(last)
+    for i, recolors in enumerate(log.phases[1:], 1):
+        u2 = i ^ i >> 1  # phase i's second half: the reflected Gray code's i-th word
+        assert bin(u2 ^ last).count("1") == 1
+        now = held(u2)
+        whites = [c for c, white in recolors if white]
+        blacks = [c for c, white in recolors if not white]
+        assert recolors == [(c, True) for c in whites] + [(c, False) for c in blacks]
+        assert whites == sorted(now - before)
+        assert blacks == sorted(before - now)
+        last, before = u2, now
+
+
+def test_sat_driver_walks_the_reflected_gray_code_on_pinned_instances():
+    for cnf in pinned_3cnfs():
+        check_gray_walk(cnf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cnfs(n_max=12))
+@example(CnfInstance(4, [(3, -3), (4, 4), (-4, 1)]))
+def test_sat_driver_walks_the_reflected_gray_code(cnf):
+    check_gray_walk(cnf)
+
+
 def test_sat_driver_keeps_a_complementary_clause_white():
     # clause 0 holds x3 and -x3, both in the second half, so some literal of
     # it always holds: no phase recolors it, and each of the 4 phases costs
