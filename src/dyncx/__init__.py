@@ -17,6 +17,7 @@ from .framework import (
     BudgetExceeded,
     DyncxError,
     EmptyProofSpace,
+    OUTPUTS,
     OracleDesync,
     ParseError,
     ProbeMeter,

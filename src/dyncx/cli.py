@@ -88,6 +88,27 @@ def _load_stream(path: str | None) -> UpdateStream:
     return UpdateStream.parse(_read(path))
 
 
+def _applied(stream: UpdateStream, run):
+    """run(tokens) over the stream's tokens. A DyncxError raised while token
+    t is the last one handed out comes back naming that token's line in the
+    updates file and its step: `updates line N (step t): <message>`."""
+    step = 0
+
+    def tokens():
+        nonlocal step
+        for step, tok in enumerate(stream, 1):
+            yield tok
+        step = 0
+
+    try:
+        return run(tokens())
+    except DyncxError as exc:
+        if not step:
+            raise
+        raise DyncxError(
+            f"updates line {stream.lines[step - 1]} (step {step}): {exc}") from None
+
+
 def _fmt(tok) -> str | None:
     return None if tok is None else format_token(tok)
 
@@ -109,8 +130,7 @@ def cmd_eval(args) -> RunReport:
     factory = dnf.NaiveAlgorithm if args.algo == "naive" else dnf.ClauseCounters
     algo = factory(inst)
     answers = [algo.answer()]
-    for tok in stream:
-        answers.append(algo.apply(tok))
+    answers += _applied(stream, lambda tokens: list(map(algo.apply, tokens)))
     report = RunReport(command=args.echo)
     report.steps = [
         {"step": t, "update": _fmt(tok), "answer": x}
@@ -202,7 +222,8 @@ def cmd_verify(args) -> RunReport:
             factory = lambda g: connectivity.KconnVerifier(g, k)  # noqa: E731
 
     prover = _pick_prover(problem, args)
-    transcript = run_protocol(factory, prover, inst, stream)
+    transcript = _applied(
+        stream, lambda tokens: run_protocol(factory, prover, inst, tokens))
     report.steps = [r.to_dict() for r in transcript.records]
     report.counters = {
         "problem": problem,
@@ -238,8 +259,7 @@ def _verify_spanning(args, stream, report: RunReport) -> RunReport:
         graph, prover=_pick_prover("spanning-forest", args), forest_seed=args.seed
     )
     records = [protocol.initial_report()]
-    for tok in stream:
-        records.append(protocol.apply(tok))
+    records += _applied(stream, lambda tokens: list(map(protocol.apply, tokens)))
     report.steps = [
         {
             "step": r.step,
@@ -278,7 +298,8 @@ def cmd_reduce(args) -> RunReport:
     aw = equiv.parse_aw(_read(getattr(args, "in")))
     stream = _load_stream(args.updates)
     build = reductions.REDUCTIONS[args.target]
-    records = reductions.check_reduction(build, aw, stream)
+    records = _applied(
+        stream, lambda tokens: reductions.check_reduction(build, aw, tokens))
     report = RunReport(command=args.echo)
     report.steps = [
         {
@@ -324,9 +345,8 @@ def cmd_complete_demo(args) -> RunReport:
     stream = _load_stream(args.updates)
     trees = fdt.compile_dnf_verifier_to_trees(inst)
     trace: list = []
-    answers = fdt.completeness_harness(
-        trees, inst.assignment, stream, trace=trace
-    )
+    answers = _applied(stream, lambda tokens: fdt.completeness_harness(
+        trees, inst.assignment, tokens, trace=trace))
     report = RunReport(command=args.echo)
     report.steps = [
         {

@@ -38,6 +38,7 @@ from .framework import (
     BOTTOM,
     BudgetExceeded,
     DyncxError,
+    OUTPUTS,
     ParseError,
     UndecodableUpdate,
     VerifierOutput,
@@ -179,7 +180,7 @@ class ConnVerifier:
         return 1 if self.forest.edge_count == self.graph.num_nodes - 1 else 0
 
     def initial_output(self) -> VerifierOutput:
-        return VerifierOutput(self._x(), 0)
+        return OUTPUTS[self._x()][0]
 
     def copy(self) -> "ConnVerifier":
         dup = object.__new__(ConnVerifier)
@@ -192,26 +193,26 @@ class ConnVerifier:
 
     def step(self, token, proof: bytes) -> VerifierOutput:
         if token[0] == "q":
-            return VerifierOutput(self._x(), 0)
+            return OUTPUTS[self._x()][0]
         if token[0] != "e":
             raise UndecodableUpdate(f"conn verifier cannot apply {token!r}")
         _, sign, u, v = token
         if sign == "+":
             self.graph.insert(u, v)
             self.forest.link(u, v)
-            return VerifierOutput(self._x(), 0)
+            return OUTPUTS[self._x()][0]
         self.graph.delete(u, v)
         if not self.forest.has_edge(u, v):
-            return VerifierOutput(self._x(), 0)
+            return OUTPUTS[self._x()][0]
         self.forest.cut(u, v)
         if proof == BOTTOM:
-            return VerifierOutput(self._x(), 0)
+            return OUTPUTS[self._x()][0]
         try:
             a, b = decode_edge(proof)
         except ParseError:
-            return VerifierOutput(self._x(), -1)
+            return OUTPUTS[self._x()][-1]
         y = 1 if self.graph.has(a, b) and self.forest.link(a, b) else -1
-        return VerifierOutput(self._x(), y)
+        return OUTPUTS[self._x()][y]
 
 
 def honest_conn_prover(verifier: ConnVerifier, token) -> bytes:
@@ -559,7 +560,7 @@ class KconnVerifier:
     def initial_output(self) -> VerifierOutput:
         # preprocessing answers without a proof: unbounded time, direct check
         value, _ = mincut_bruteforce(self.graph)
-        return VerifierOutput(1 if value < self.k else 0, 0)
+        return OUTPUTS[1 if value < self.k else 0][0]
 
     def copy(self) -> "KconnVerifier":
         dup = object.__new__(KconnVerifier)
@@ -596,19 +597,19 @@ class KconnVerifier:
         try:
             s_edges = decode_edge_set(proof)
         except ParseError:
-            return VerifierOutput(0, -1)
+            return OUTPUTS[0][-1]
         if len(s_edges) > self.k - 1 or len(set(map(frozenset, s_edges))) != len(s_edges):
-            return VerifierOutput(0, -1)
+            return OUTPUTS[0][-1]
         for u, v in s_edges:
             # junk bytes can decode to arbitrary ids: malformed, not fatal
             if not self.graph.has(u, v):
-                return VerifierOutput(0, -1)
+                return OUTPUTS[0][-1]
         for u, v in s_edges:
             self.conn.delete(u, v)
         disconnected = not self.conn.is_connected()
         for u, v in s_edges:
             self.conn.insert(u, v)
-        return VerifierOutput(1, 1) if disconnected else VerifierOutput(0, 0)
+        return OUTPUTS[1][1] if disconnected else OUTPUTS[0][0]
 
 
 def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):

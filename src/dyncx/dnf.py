@@ -25,6 +25,7 @@ from itertools import repeat
 
 from .framework import (
     BOTTOM,
+    OUTPUTS,
     ParseError,
     ProbeMeter,
     UndecodableUpdate,
@@ -290,8 +291,10 @@ class NaiveAlgorithm:
 class DnfVerifier:
     """Proof = a clause index claimed satisfied, or the null proof.
 
-    The step reads only the named clause's literals (at most w probes);
-    x=1 exactly when the offered clause checks out.
+    The step reads only the named clause's literals, up to and including
+    its first false one, and charges them to `meter` in one addition (at
+    most w probes); x=1 exactly when the offered clause checks out. Outputs
+    come from `OUTPUTS`.
     """
 
     max_proof_len = 4
@@ -304,7 +307,7 @@ class DnfVerifier:
         self._x0 = eval_bruteforce(inst)
 
     def initial_output(self) -> VerifierOutput:
-        return VerifierOutput(self._x0, 0)
+        return OUTPUTS[self._x0][0]
 
     def copy(self) -> "DnfVerifier":
         dup = object.__new__(DnfVerifier)
@@ -328,16 +331,22 @@ class DnfVerifier:
         elif token[0] != "q":
             raise UndecodableUpdate(f"dnf verifier cannot apply {token!r}")
         if proof == BOTTOM:
-            return VerifierOutput(0, 0)
+            return OUTPUTS[0][0]
         try:
             j = decode_index(proof)
         except ParseError:
-            return VerifierOutput(0, -1)
+            return OUTPUTS[0][-1]
         if not 0 <= j < len(self.clauses):
-            return VerifierOutput(0, -1)
-        if self.clauses[j].satisfied_by(self.assignment, self.meter):
-            return VerifierOutput(1, 1)
-        return VerifierOutput(0, -1)
+            return OUTPUTS[0][-1]
+        assignment = self.assignment
+        read = 0
+        for var, positive in self.clauses[j].literals:
+            read += 1
+            if bool(assignment[var]) != positive:
+                self.meter.count += read
+                return OUTPUTS[0][-1]
+        self.meter.count += read
+        return OUTPUTS[1][1]
 
 
 def honest_dnf_prover():

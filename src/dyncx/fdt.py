@@ -91,10 +91,11 @@ class DecisionTree:
     span: int = field(init=False, repr=False, compare=False)
 
     def validate(self, memory_len: int | None = None) -> "DecisionTree":
-        """One walk from the root: every node is reached once, labels and
-        written bits are bits, indices are nonnegative, and no path reads an
-        index twice or after writing it. Sets `span`; with memory_len, the
-        span must not exceed it."""
+        """One walk from the root: every node is reached once and is exactly
+        a `Read`, `Write` or `End` (no subclass, so that `execute_tree` can
+        dispatch on type), labels and written bits are bits, indices are
+        nonnegative, and no path reads an index twice or after writing it.
+        Sets `span`; with memory_len, the span must not exceed it."""
         nodes = self.nodes
         size = len(nodes)
         if not size:
@@ -106,11 +107,12 @@ class DecisionTree:
         while stack:
             at, read_seen, written = stack.pop()
             node = nodes[at]
-            if isinstance(node, End):
+            kind = type(node)
+            if kind is End:
                 if node.x not in (0, 1):
                     raise ParseError(f"node {at}: x label must be a bit")
                 continue
-            if isinstance(node, Read):
+            if kind is Read:
                 index = node.index
                 if index in read_seen:
                     raise NotNormalized(f"variable {index} read twice on a path")
@@ -118,7 +120,7 @@ class DecisionTree:
                     raise NotNormalized(f"variable {index} read after a write on a path")
                 read_seen += (index,)
                 children = (node.left, node.right)
-            elif isinstance(node, Write):
+            elif kind is Write:
                 if node.bit not in (0, 1):
                     raise ParseError(f"node {at}: write bit must be 0/1")
                 index = node.index
@@ -191,25 +193,36 @@ class FdtInstance:
 def execute_tree(tree: DecisionTree, memory: list[int], meter: ProbeMeter | None = None):
     """Run one tree against (and mutating) the given memory.
 
-    Returns (leaf node id, list of (position, bit) writes in order). Probe
-    count equals the path length, never more than the tree depth.
+    Returns (leaf node id, list of (position, bit) writes in order). Nodes
+    are dispatched on their exact type, the kinds `DecisionTree.validate`
+    accepts. The walk charges its path once: one probe per Read or Write
+    node on it, never more than the tree depth, added to `meter` in one
+    addition, also when an index past the memory stops it at that node.
     """
-    at = 0
+    nodes = tree.nodes
+    size = len(memory)
     writes: list[tuple[int, int]] = []
-    while True:
-        node = tree.nodes[at]
-        if isinstance(node, End):
-            return at, writes
+    at = steps = 0
+    node = nodes[0]
+    kind = type(node)
+    try:
+        while kind is not End:
+            steps += 1
+            index = node.index
+            if not 0 <= index < size:
+                raise IndexOutOfRange(f"index {index} vs memory of {size}")
+            if kind is Read:
+                at = node.right if memory[index] else node.left
+            else:
+                memory[index] = node.bit
+                writes.append((index, node.bit))
+                at = node.child
+            node = nodes[at]
+            kind = type(node)
+    finally:
         if meter is not None:
-            meter.charge()
-        if not 0 <= node.index < len(memory):
-            raise IndexOutOfRange(f"index {node.index} vs memory of {len(memory)}")
-        if isinstance(node, Read):
-            at = node.right if memory[node.index] else node.left
-        else:
-            memory[node.index] = node.bit
-            writes.append((node.index, node.bit))
-            at = node.child
+            meter.count += steps
+    return at, writes
 
 
 def execution_leaf(tree: DecisionTree, memory: list[int]) -> End:

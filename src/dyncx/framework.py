@@ -171,7 +171,11 @@ def _header_counts(parts: list[str], kind: str, arity: int, lineno: int):
 
 @dataclass
 class UpdateStream:
+    """Tokens in stream order; `lines` holds each parsed token's 1-based
+    line in its text (empty for a stream built from tokens)."""
+
     items: list[tuple] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.items)
@@ -184,9 +188,14 @@ class UpdateStream:
 
     @classmethod
     def parse(cls, text: str) -> "UpdateStream":
-        items = []
-        read_lines(text, lambda parts, _: items.append(_parse_token(parts)))
-        return cls(items)
+        items, lines = [], []
+
+        def token(parts, lineno):
+            items.append(_parse_token(parts))
+            lines.append(lineno)
+
+        read_lines(text, token)
+        return cls(items, lines)
 
     def format(self) -> str:
         return "".join(format_token(tok) + "\n" for tok in self.items)
@@ -244,8 +253,9 @@ def format_token(tok: tuple) -> str:
 class VerifierOutput(tuple):
     """A step's answer bit x and signed integer reward y.
 
-    An immutable (x, y) tuple rather than a frozen dataclass: every protocol
-    step builds one, and a tuple is built in one call once x and y check out.
+    An immutable (x, y) tuple rather than a frozen dataclass. The constructor
+    checks x and y; the verifiers here return only the six outputs of
+    `OUTPUTS`, built once, so a protocol step builds none.
     """
 
     __slots__ = ()
@@ -265,6 +275,11 @@ class VerifierOutput(tuple):
 
     def __repr__(self):
         return f"VerifierOutput(x={self[0]!r}, y={self[1]!r})"
+
+
+# OUTPUTS[x][y] for x in {0, 1} and y in {0, 1, -1}; OUTPUTS[x][-1], the
+# reject output, is read through the negative index
+OUTPUTS = tuple(tuple(VerifierOutput(x, y) for y in (0, 1, -1)) for x in (0, 1))
 
 
 class TranscriptRecord(NamedTuple):

@@ -363,9 +363,9 @@ def test_malformed_instance_is_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("problem", ["conn", "spanning-forest"])
 @pytest.mark.parametrize("update, message", [
-    ("e + 1 9", "error: edge (1,9) out of range"),
-    ("e + 2 1", "error: edge (1,2) already present"),
-    ("e - 1 3", "error: edge (1,3) not present"),
+    ("e + 1 9", "edge (1,9) out of range"),
+    ("e + 2 1", "edge (1,2) already present"),
+    ("e - 1 3", "edge (1,3) not present"),
 ], ids=["out-of-range", "duplicate", "unknown"])
 def test_bad_graph_update_names_the_file_ids(problem, update, message, files, capsys):
     stream = Path(files["edges.txt"]).with_name("bad.txt")
@@ -373,26 +373,46 @@ def test_bad_graph_update_names_the_file_ids(problem, update, message, files, ca
     rc = main(["verify", "--problem", problem, "--in", files["graph.txt"],
                "--updates", str(stream)])
     assert rc == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == f"error: updates line 2 (step 2): {message}\n"
 
 
 # each route to an out-of-range flip: the counters, the naive rescan's
 # instance, the verifier's own step (under the maximizing prover, which
 # keeps no counters) and the completeness harness
 @pytest.mark.parametrize("argv, message", [
-    (["eval"], "error: variable 9 out of range 1..4"),
-    (["eval", "--algo", "naive"], "error: variable 9 out of range 1..4"),
-    (["verify", "--problem", "dnf"], "error: variable 9 out of range 1..4"),
+    (["eval"], "variable 9 out of range 1..4"),
+    (["eval", "--algo", "naive"], "variable 9 out of range 1..4"),
+    (["verify", "--problem", "dnf"], "variable 9 out of range 1..4"),
     (["verify", "--problem", "dnf", "--prover", "maximizing"],
-     "error: variable 9 out of range 1..4"),
-    (["complete-demo"], "error: update position 9 out of range 1..4"),
+     "variable 9 out of range 1..4"),
+    (["complete-demo"], "update position 9 out of range 1..4"),
 ], ids=["eval", "eval-naive", "verify-honest", "verify-maximizing", "complete-demo"])
 def test_bad_flip_names_the_file_ids(argv, message, files, capsys):
     stream = Path(files["flips.txt"]).with_name("bad.txt")
     stream.write_text("q\nf 9 1\n")
     rc = main(argv + ["--in", files["inst.dnf"], "--updates", str(stream)])
     assert rc == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == f"error: updates line 2 (step 2): {message}\n"
+
+
+# the line counts every line of the file, the step only tokens
+@pytest.mark.parametrize("command, text, graph, where", [
+    (["verify", "--problem", "conn"], "q\nq\ne + 1 9\n", True,
+     "updates line 3 (step 3): edge (1,9) out of range"),
+    (["eval"], "# flips\n\nf 9 1\n", False,
+     "updates line 3 (step 1): variable 9 out of range 1..4"),
+    (["complete-demo"], "q\n# next\nf 9 1\n", False,
+     "updates line 3 (step 2): update position 9 out of range 1..4"),
+], ids=["verify-conn", "eval", "complete-demo"])
+def test_update_errors_name_their_line_and_step(command, text, graph, where, files,
+                                                capsys):
+    stream = Path(files["flips.txt"]).with_name("steps.txt")
+    stream.write_text(text)
+    rc = main(command + ["--in", files["graph.txt" if graph else "inst.dnf"],
+                         "--updates", str(stream)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {where}\n" and "Traceback" not in err
 
 
 def test_reduce_names_an_out_of_range_color_by_the_file_id(tmp_path, capsys):
@@ -401,7 +421,7 @@ def test_reduce_names_an_out_of_range_color_by_the_file_id(tmp_path, capsys):
     stream.write_text("q\nc 9 W\n")
     rc = main(["reduce", "--target", "maxflow", "--in", str(inst), "--updates", str(stream)])
     assert rc == 2
-    assert capsys.readouterr().err == "error: L node 9 out of range\n"
+    assert capsys.readouterr().err == "error: updates line 2 (step 2): L node 9 out of range\n"
 
 
 def test_complete_demo_refuses_an_update_it_cannot_apply(files, capsys):
@@ -411,7 +431,8 @@ def test_complete_demo_refuses_an_update_it_cannot_apply(files, capsys):
     rc = main(["complete-demo", "--in", files["inst.dnf"], "--updates", str(stream)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: harness cannot decode update") and "Traceback" not in err
+    assert err.startswith("error: updates line 1 (step 1): harness cannot decode update")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("line, message", [

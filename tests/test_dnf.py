@@ -246,6 +246,21 @@ def test_verifier_reads_only_offered_clause():
     assert v.meter.count - before == 1  # one literal in clause 2
 
 
+def test_verifier_charges_the_literals_it_reads():
+    # width-3 clauses; under all-ones, clause k's first false literal is
+    # literal k + 1, and clause 3 holds
+    clauses = [clause(-1, 2, 3), clause(1, -2, 3), clause(1, 2, -3), clause(1, 2, 3)]
+    v = DnfVerifier(DnfInstance(3, clauses, [1, 1, 1], 3))
+    cases = [(encode_index(0), (0, -1), 1), (encode_index(1), (0, -1), 2),
+             (encode_index(2), (0, -1), 3), (encode_index(3), (1, 1), 3),
+             (BOTTOM, (0, 0), 0), (b"zz", (0, -1), 0),
+             (encode_index(4), (0, -1), 0)]
+    for proof, (x, y), charged in cases:
+        before = v.meter.count
+        out = v.step(("q",), proof)
+        assert (out.x, out.y, v.meter.count - before) == (x, y, charged), proof
+
+
 def test_verifier_completeness_under_maximizing_prover(rng):
     for _ in range(60):
         inst = rand_dnf(rng)

@@ -2,6 +2,7 @@ import itertools
 import random
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,21 @@ def test_validate_rejects_bad_bits_and_dangling_children():
         DecisionTree([]).validate(1)
 
 
+def test_validate_accepts_exactly_the_three_node_kinds():
+    # execute_tree dispatches on type(node), so a subclass is no node kind
+    @dataclass(frozen=True, slots=True)
+    class Leaf(End):
+        pass
+
+    @dataclass(frozen=True, slots=True)
+    class Probe(Read):
+        pass
+
+    for nodes in ([Leaf(1, 1, 1)], [Probe(0, 1, 2), End(0, 0, 0), End(1, 1, 1)]):
+        with pytest.raises(ParseError, match="unknown node kind"):
+            DecisionTree(nodes)
+
+
 def test_validate_rejects_a_cycle_off_the_root():
     # every non-root node is referenced once, yet nodes 1-3 hang off a cycle
     with pytest.raises(ParseError):
@@ -180,6 +196,27 @@ def test_execute_tree_charges_one_probe_per_node_on_path():
     meter.start_op()
     execute_tree(t, [0, 1], meter)
     assert meter.end_op() == 2
+
+
+def test_execute_tree_charges_reads_and_writes_on_its_path():
+    # Read -> Write -> Read -> End: three charged nodes, writes in order
+    t = DecisionTree([Read(0, 1, 2), Write(1, 1, 3), End(0, 0, 0),
+                      Read(2, 4, 5), End(0, 0, 1), End(1, 1, 2)])
+    meter, mem = ProbeMeter(), [0, 0, 1]
+    leaf, writes = execute_tree(t, mem, meter)
+    assert (leaf, writes, mem, meter.count) == (5, [(1, 1)], [0, 1, 1], 3)
+    # a node past the memory stops the walk; it is charged with the nodes
+    # before it, and writes before it have landed
+    meter, mem = ProbeMeter(), [0, 0]
+    with pytest.raises(IndexOutOfRange):
+        execute_tree(t, mem, meter)
+    assert (mem, meter.count) == ([0, 1], 3)
+    # a write past the memory raises before it lands
+    t = DecisionTree([Read(0, 1, 2), Write(5, 1, 3), End(0, 0, 0), End(1, 1, 1)])
+    meter, mem = ProbeMeter(), [0, 0]
+    with pytest.raises(IndexOutOfRange):
+        execute_tree(t, mem, meter)
+    assert (mem, meter.count) == ([0, 0], 2)
 
 
 def test_answer_picks_max_rank_and_first_on_ties():

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 import random
@@ -10,6 +11,7 @@ from dyncx.framework import (
     BudgetExceeded,
     Episode,
     EmptyProofSpace,
+    OUTPUTS,
     ParseError,
     ProbeMeter,
     ProofOutOfSpace,
@@ -79,6 +81,13 @@ def test_stream_comments_and_blanks_ignored():
     assert UpdateStream.parse("# nothing\n\n  f 1 0  # trailing\n").items == [("f", 0, 0)]
 
 
+def test_stream_keeps_each_token_line():
+    stream = UpdateStream.parse("q\n# note\n\nf 2 1\nq\n")
+    assert stream.lines == [1, 4, 5]
+    # the lines are provenance: a stream built from tokens equals the parse
+    assert stream == UpdateStream([("q",), ("f", 1, 1), ("q",)])
+
+
 def test_format_token_is_one_based():
     assert format_token(("f", 0, 1)) == "f 1 1"
     assert format_token(("e", "+", 0, 2)) == "e + 1 3"
@@ -124,6 +133,21 @@ def test_verifier_output_validation():
         VerifierOutput(2, 0)
     with pytest.raises(ValueError):
         VerifierOutput(0, True)
+
+
+def test_output_table_holds_every_verifier_output():
+    for x in (0, 1):
+        for y in (0, 1, -1):
+            out = OUTPUTS[x][y]
+            assert out == VerifierOutput(x, y) and (out.x, out.y) == (x, y)
+            assert type(out) is VerifierOutput
+            for twin in (pickle.loads(pickle.dumps(out)), copy.copy(out),
+                         copy.deepcopy(out)):
+                assert twin == out and type(twin) is VerifierOutput
+    assert OUTPUTS[0][-1] is OUTPUTS[0][2]  # the reject, by the negative index
+    for x, y in ((2, 0), (1, True), (1, 1.0)):
+        with pytest.raises(ValueError):
+            VerifierOutput(x, y)
 
 
 def test_records_are_immutable_values():
