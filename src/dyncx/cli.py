@@ -24,6 +24,7 @@ from .framework import (
     BOTTOM,
     DyncxError,
     ParseError,
+    ProofOutOfSpace,
     UpdateStream,
     constant_prover,
     format_token,
@@ -91,7 +92,9 @@ def _load_stream(path: str | None) -> UpdateStream:
 def _applied(stream: UpdateStream, run):
     """run(tokens) over the stream's tokens. A DyncxError raised while token
     t is the last one handed out comes back naming that token's line in the
-    updates file and its step: `updates line N (step t): <message>`."""
+    updates file and its step: `updates line N (step t): <message>`. An
+    error that names step t itself (`ProofOutOfSpace`) gives its message
+    without it, so the line names the step once."""
     step = 0
 
     def tokens():
@@ -105,8 +108,10 @@ def _applied(stream: UpdateStream, run):
     except DyncxError as exc:
         if not step:
             raise
+        named = isinstance(exc, ProofOutOfSpace) and exc.step == step
+        message = exc.reason if named else exc
         raise DyncxError(
-            f"updates line {stream.lines[step - 1]} (step {step}): {exc}") from None
+            f"updates line {stream.lines[step - 1]} (step {step}): {message}") from None
 
 
 def _fmt(tok) -> str | None:

@@ -57,10 +57,8 @@ class Clause:
     def width(self) -> int:
         return len(self.literals)
 
-    def satisfied_by(self, assignment, meter: ProbeMeter | None = None) -> bool:
+    def satisfied_by(self, assignment) -> bool:
         for var, positive in self.literals:
-            if meter is not None:
-                meter.charge()
             if bool(assignment[var]) != positive:
                 return False
         return True
@@ -266,17 +264,29 @@ class ClauseCounters:
 
 
 class NaiveAlgorithm:
-    """Rescan-everything baseline; exists for benchmarks and cross-checks."""
+    """Rescan-everything baseline; exists for benchmarks and cross-checks.
+
+    An answer reads each clause's literals up to and including its first
+    false one, until a clause holds, and charges every literal it read to
+    `meter` in one addition."""
 
     def __init__(self, inst: DnfInstance):
         self.inst = inst.copy()
         self.meter = ProbeMeter()
 
     def answer(self) -> int:
-        for c in self.inst.clauses:
-            if c.satisfied_by(self.inst.assignment, self.meter):
-                return 1
-        return 0
+        assignment, read = self.inst.assignment, 0
+        try:
+            for c in self.inst.clauses:
+                for var, positive in c.literals:
+                    read += 1
+                    if bool(assignment[var]) != positive:
+                        break
+                else:
+                    return 1
+            return 0
+        finally:
+            self.meter.count += read
 
     def apply(self, token) -> int:
         self.inst.apply(token)

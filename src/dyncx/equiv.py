@@ -117,9 +117,14 @@ class AllWhiteCounters:
     one AND and one compare (Lamport, "Multiple byte processing with
     full-word instructions", CACM 1975). Each recolor or answer therefore
     costs O(1) big-int operations on R*w-bit words, and the masks take w
-    times the memory of one bit per R node. `ops` counts calls:
-    +1 per `answer` and +1 per `set_color`, a call that changes nothing
-    included.
+    times the memory of one bit per R node.
+
+    A solver's interface is `set_colors(nodes, white)`, which recolors a
+    batch, and `answer()`; `set_color(node, white)` is the batch of one.
+    `ops` counts +1 per `answer` and +1 per node a recolor is handed, a
+    node that changes nothing included, so a batch of k nodes costs what
+    k `set_color` calls do. `apply` charges its recolor and not its
+    answer.
     """
 
     def __init__(self, inst: AllWhiteInstance):
@@ -141,7 +146,7 @@ class AllWhiteCounters:
         """Counters over neighbor masks (one per L node) already in the
         packed layout: bit w*r of masks[l] is set when (l, r) is an edge,
         with w from `layout(len(masks), num_r)`. Both lists are kept as
-        they are handed over, not copied: `set_color` writes to `colors`,
+        they are handed over, not copied: `set_colors` writes to `colors`,
         so the caller passes lists it no longer changes. Nothing is
         validated."""
         self = cls.__new__(cls)
@@ -165,17 +170,28 @@ class AllWhiteCounters:
 
     def answer(self) -> int:
         self.ops += 1
-        return self._any_zero()
+        return 1 if (self.count + self.low) & self.high != self.high else 0
+
+    def set_colors(self, nodes, white: bool):
+        """Recolor each node of `nodes`, in order, white if `white` else
+        black. `count` stays on the object rather than in a local: a local
+        copy would keep the batch's first count alive beside the two that
+        each add holds, one more R*w-bit int at `sat_via_allwhite`'s peak."""
+        colors, masks = self.colors, self.masks
+        if white:
+            for node in nodes:
+                if not colors[node]:
+                    colors[node] = True
+                    self.count -= masks[node]
+        else:
+            for node in nodes:
+                if colors[node]:
+                    colors[node] = False
+                    self.count += masks[node]
+        self.ops += len(nodes)
 
     def set_color(self, node: int, white: bool):
-        self.ops += 1
-        if self.colors[node] == white:
-            return
-        self.colors[node] = white
-        if white:
-            self.count -= self.masks[node]
-        else:
-            self.count += self.masks[node]
+        self.set_colors((node,), white)
 
     def apply(self, token) -> int:
         if token[0] == "c":

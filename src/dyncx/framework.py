@@ -42,7 +42,16 @@ class UndecodableUpdate(DyncxError):
 
 
 class ProofOutOfSpace(DyncxError):
-    """The prover emitted something that is not an encodable proof."""
+    """The prover emitted something that is not an encodable proof at
+    protocol step `step`. The message names the step; `reason` is the
+    message without it, for a caller that names the step itself."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(step, reason)
+        self.step, self.reason = step, reason
+
+    def __str__(self):
+        return f"step {self.step}: {self.reason}"
 
 
 class EmptyProofSpace(DyncxError):
@@ -403,7 +412,7 @@ def run_protocol(verifier_factory, prover, initial_instance, stream) -> ProofTra
     for t, tok in enumerate(stream, 1):
         proof = prover(verifier, tok)
         if not isinstance(proof, (bytes, bytearray)) or len(proof) > limit:
-            raise ProofOutOfSpace(f"step {t}: unencodable proof {proof!r}")
+            raise ProofOutOfSpace(t, f"unencodable proof {proof!r}")
         proof = bytes(proof)
         records.append(TranscriptRecord(t, tok, proof, verifier.step(tok, proof)))
     return transcript

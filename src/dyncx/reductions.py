@@ -463,16 +463,18 @@ def format_dimacs(inst: CnfInstance) -> str:
 
 
 def _read_literals(clauses, n: int, half: int, width: int, unit: int):
-    """One pass over the literals: (fails, pos, neg, held).
+    """One pass over the literals: (fails, (pos, neg), held, colors).
 
     fails[c] holds the first-half assignments u1 that satisfy no
     first-half literal of clause c, one bit in field u1 of the packed
     layout each. pos[v] and neg[v] list the clauses holding +x and -x for
     the second half's variable v, in clause order and once per occurrence.
     held[c] counts clause c's second-half literals that hold when the
-    second half is all zeros, its negative ones. Apart from the driver so
-    that the per-literal masks are freed before the phases run: they are w
-    times the size of a plain bit mask."""
+    second half is all zeros, its negative ones, and colors[c] is whether
+    any does. Apart from `sat_via_allwhite` so that the per-literal masks
+    are freed before the phases run: they are w times the size of a plain
+    bit mask. The per-clause lists are allocated at their size, not grown,
+    so the phases' peak memory holds no slack past their ends."""
     # table[lit] for a literal of the first half: the u1 that falsify it; for
     # one of the second half: the clauses holding it. A negative literal
     # indexes the table from its end. ones, the u1 whose bit v is 1, fail
@@ -486,7 +488,8 @@ def _read_literals(clauses, n: int, half: int, width: int, unit: int):
         table[v + 1], table[-v - 1] = unit ^ ones, ones
     for x in range(half + 1, n + 1):
         table[x], table[-x] = [], []
-    fails, held = [], []
+    m = len(clauses)
+    fails, held, colors = [None] * m, [0] * m, [False] * m
     for c, clause in enumerate(clauses):
         mask, negs = unit, 0
         for lit in clause:
@@ -497,10 +500,13 @@ def _read_literals(clauses, n: int, half: int, width: int, unit: int):
             else:
                 entry.append(c)
                 negs += lit < 0
-        fails.append(mask)
-        held.append(negs)
-    second = range(half + 1, n + 1)
-    return fails, [table[x] for x in second], [table[-x] for x in second], held
+        fails[c] = mask
+        if negs:
+            held[c], colors[c] = negs, True
+    # four items, not five: a freed 5-tuple stays on CPython's free list,
+    # where tracemalloc, and so the benchmark's peak memory, still counts it
+    occurrences = table[half + 1:n + 1], table[-half - 1:-n - 1:-1]
+    return fails, occurrences, held, colors
 
 
 def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None,
@@ -535,9 +541,15 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     0 1 0 2 0 1 0 3 ... names at i (Bitner, Ehrlich and Reingold, CACM
     1976), and each variable keeps the pair (clauses that gain a satisfied
     literal, clauses that lose one) for its next flip, swapped after each
-    flip. A phase recolors the gaining clauses first, then the losing
-    ones, so a clause holding both x and -x of a second-half variable
-    stays white rather than turning black and white again.
+    flip. A phase hands the solver the gaining clauses that turn white in
+    one `set_colors(nodes, True)` call, then the losing ones that turn
+    black in one `set_colors(nodes, False)`, each skipped when it would be
+    empty, and then asks `answer()`. Whites going first keeps a clause
+    holding both x and -x of a second-half variable white rather than
+    turning it black and white again. A solver, the default one or a
+    caller's `aw_solver`, implements just those two methods; the default
+    charges `ops` one per recolored node and one per answer, so `ops` and
+    `phases` are what one call per recolor would give.
     """
     budget = env_budget() if budget is None else budget
     n = cnf.num_vars + (cnf.num_vars % 2)
@@ -551,9 +563,9 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     # gains[v], losses[v]: the clauses that gain and lose a satisfied literal
     # on second-half variable v's next flip, the first one from 0 to 1.
     # sat2[c]: clause c's satisfied second-half literals, that half being all
-    # zeros at phase 0
-    fails, gains, losses, sat2 = _read_literals(cnf.clauses, n, half, width, unit)
-    colors = [count > 0 for count in sat2]  # white = satisfied by the half
+    # zeros at phase 0; colors[c]: white, satisfied by that half
+    fails, (gains, losses), sat2, colors = _read_literals(
+        cnf.clauses, n, half, width, unit)
     if aw_solver is None:
         solver = AllWhiteCounters.from_masks(num_r, fails, colors)
     else:
@@ -566,21 +578,34 @@ def sat_via_allwhite(cnf: CnfInstance, aw_solver=None, budget: int | None = None
     for v in range(n - half):
         ruler = ruler + bytes((v,)) + ruler
 
-    set_color, answer = solver.set_color, solver.answer
+    set_colors, answer = solver.set_colors, solver.answer
     phases = 1
     found = answer() == 1
     if not found:
         for phases, v in enumerate(ruler, 2):
             gain, lose = gains[v], losses[v]
             gains[v], losses[v] = lose, gain
+            # each direction's recolors go to the solver in one call; a batch
+            # is dropped before the next one is made, so that two are never
+            # alive at once and the run's peak memory holds one list at most
+            batch = []
             for c in gain:
-                sat2[c] += 1
-                if sat2[c] == 1:  # newly satisfied by the half
-                    set_color(c, True)
+                k = sat2[c]
+                sat2[c] = k + 1
+                if not k:  # newly satisfied by the half
+                    batch.append(c)
+            if batch:
+                set_colors(batch, True)
+            del batch
+            batch = []
             for c in lose:
-                sat2[c] -= 1
-                if sat2[c] == 0:  # no longer satisfied by the half
-                    set_color(c, False)
+                k = sat2[c] - 1
+                sat2[c] = k
+                if not k:  # no longer satisfied by the half
+                    batch.append(c)
+            if batch:
+                set_colors(batch, False)
+            del batch
             if answer() == 1:
                 found = True
                 break

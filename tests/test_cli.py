@@ -415,6 +415,17 @@ def test_update_errors_name_their_line_and_step(command, text, graph, where, fil
     assert err == f"error: {where}\n" and "Traceback" not in err
 
 
+def test_unencodable_proof_names_its_step_once(files, capsys):
+    # the oversize prover ships k = 2 edges of the 4-cycle at step 1; the
+    # protocol's own "step 1: " is not repeated after the CLI's label
+    rc = main(["verify", "--problem", "kconn", "--k", "2", "--prover", "adversarial:oversize",
+               "--in", files["graph.txt"], "--updates", files["edges.txt"]])
+    proof = b"\0" * 7 + b"\1" + b"\0" * 7 + b"\3"  # edges 1-2 and 1-4, as 0-based ids
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: updates line 1 (step 1): unencodable proof {proof!r}\n")
+
+
 def test_reduce_names_an_out_of_range_color_by_the_file_id(tmp_path, capsys):
     inst, stream = tmp_path / "aw.txt", tmp_path / "colors.txt"
     inst.write_text("p aw 2 2\ne 1 1\ne 2 2\n")

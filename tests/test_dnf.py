@@ -217,6 +217,20 @@ def test_naive_and_counters_match_over_streams(rng):
             assert a.apply(tok) == b.apply(tok)
 
 
+def test_naive_rescan_charges_the_literals_it_reads():
+    # width-3 clauses; under all-ones, clause k of the first three fails at
+    # literal k + 1, so a rescan that stops at the holding clause j charges
+    # 1 + 2 + 3 for the failing ones before it and the w literals of j
+    failing = [clause(-1, 2, 3), clause(1, -2, 3), clause(1, 2, -3)]
+    holds = clause(1, 2, 3)
+    for clauses, answer, charged in [
+            (failing, 0, 6), (failing + [holds], 1, 9), ([holds] + failing, 1, 3),
+            (failing[1:], 0, 5), ([], 0, 0), ([clause(2)], 1, 1)]:
+        algo = NaiveAlgorithm(DnfInstance(3, clauses, [1, 1, 1], 3))
+        assert (algo.answer(), algo.meter.count) == (answer, charged), clauses
+        assert (algo.apply(("q",)), algo.meter.count) == (answer, 2 * charged)
+
+
 # ---------------------------------------------------------------------------
 # verifier
 # ---------------------------------------------------------------------------

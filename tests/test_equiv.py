@@ -88,6 +88,37 @@ def test_aw_counters_direct_calls_track_bruteforce_and_charge_every_call(rng):
         assert c.ops == calls  # `apply(("q",))` is not charged
 
 
+def test_aw_set_colors_matches_the_same_set_color_calls(rng):
+    # a batch recolors in order and charges one op per node it is handed, so
+    # it must leave what the same one-node calls leave; the lists repeat
+    # nodes and hold nodes already of the batch's color (no-ops), and some
+    # are empty
+    noops = repeats = 0
+    for _ in range(80):
+        inst = rand_aw(rng, l_hi=20, r_hi=70)
+        batched = AllWhiteCounters(inst)
+        single = AllWhiteCounters(inst)
+        nbrs = inst.r_neighbors()
+        for _ in range(30):
+            white = rng.random() < 0.5
+            nodes = [rng.randrange(inst.num_l) for _ in range(rng.randint(0, 6))
+                     if inst.num_l]
+            noops += sum(batched.colors[node] == white for node in nodes)
+            repeats += len(nodes) - len(set(nodes))
+            batched.set_colors(nodes, white)
+            for node in nodes:
+                single.set_color(node, white)
+            assert batched.colors == single.colors
+            assert all(batched.colors[node] == white for node in nodes)
+            assert batched.count == single.count
+            assert packed_fields(batched, inst.num_l, inst.num_r) == [
+                sum(not batched.colors[l] for l in nbrs[r]) for r in range(inst.num_r)]
+            assert batched.ops == single.ops
+            now = AllWhiteInstance(inst.num_l, inst.num_r, inst.edges, list(batched.colors))
+            assert batched.answer() == single.answer() == aw_bruteforce(now)
+    assert noops and repeats
+
+
 def test_aw_counters_corner_instances():
     assert AllWhiteCounters(AllWhiteInstance(2, 0, [], [False, True])).answer() == 0
     assert AllWhiteCounters(AllWhiteInstance(0, 0, [], [])).answer() == 0

@@ -233,8 +233,11 @@ def test_run_protocol_orders_prover_before_update():
 
 def test_run_protocol_rejects_oversized_proof():
     stream = UpdateStream([("q",)])
-    with pytest.raises(ProofOutOfSpace):
+    with pytest.raises(ProofOutOfSpace) as caught:
         run_protocol(ParityVerifier, constant_prover(b"12345"), 0, stream)
+    # a library caller learns the step from the message and the error itself
+    assert str(caught.value) == "step 1: unencodable proof b'12345'"
+    assert (caught.value.step, caught.value.reason) == (1, "unencodable proof b'12345'")
 
 
 def test_reward_maximizing_prover_breaks_ties_toward_first_candidate():

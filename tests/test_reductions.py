@@ -224,8 +224,9 @@ def test_sat_accepts_substitute_solvers():
         def __init__(self, aw):
             self.aw = aw
 
-        def set_color(self, node, white):
-            self.aw.colors[node] = white
+        def set_colors(self, nodes, white):
+            for node in nodes:
+                self.aw.colors[node] = white
 
         def answer(self):
             return aw_bruteforce(self.aw)
@@ -346,16 +347,16 @@ def test_sat_driver_counts_are_pinned():
 
 class CallLog:
     """An `aw_solver` that records each call the driver makes: one list of
-    (clause, white) recolors per phase, closed by that phase's answer."""
+    (white, nodes) recolor calls per phase, closed by that phase's answer."""
 
     def __init__(self, aw):
         self.solver = AllWhiteCounters(aw)
         self.phases = [[]]
         self.answers = 0
 
-    def set_color(self, node, white):
-        self.phases[-1].append((node, white))
-        self.solver.set_color(node, white)
+    def set_colors(self, nodes, white):
+        self.phases[-1].append((white, list(nodes)))
+        self.solver.set_colors(nodes, white)
 
     def answer(self):
         self.answers += 1
@@ -392,11 +393,9 @@ def check_gray_walk(cnf: CnfInstance):
         u2 = i ^ i >> 1  # phase i's second half: the reflected Gray code's i-th word
         assert bin(u2 ^ last).count("1") == 1
         now = held(u2)
-        whites = [c for c, white in recolors if white]
-        blacks = [c for c, white in recolors if not white]
-        assert recolors == [(c, True) for c in whites] + [(c, False) for c in blacks]
-        assert whites == sorted(now - before)
-        assert blacks == sorted(before - now)
+        whites, blacks = sorted(now - before), sorted(before - now)
+        # one call per direction that has clauses, whites first, none empty
+        assert recolors == [(True, whites)] * bool(whites) + [(False, blacks)] * bool(blacks)
         last, before = u2, now
 
 
