@@ -64,6 +64,20 @@ class Clause:
         return True
 
 
+_new = object.__new__
+_set_literals = Clause.literals.__set__
+
+
+def _new_clause(literals: tuple[tuple[int, bool], ...]) -> Clause:
+    """`Clause(literals)` without the frozen dataclass's `__init__`, which
+    pays an `object.__setattr__` for the field: the field is set through its
+    slot descriptor. The result is an ordinary `Clause`, equal to, hashing
+    as and as frozen as the constructor's."""
+    c = _new(Clause)
+    _set_literals(c, literals)
+    return c
+
+
 def clause(*lits: int) -> Clause:
     """Build a clause from nonzero 1-based signed literals (DIMACS style)."""
     return Clause(tuple((abs(l) - 1, l > 0) for l in lits))
@@ -572,7 +586,7 @@ def parse_dnf(text: str):
                 raise ParseError("stray 0 inside clause")
             literals = tuple(lits)
             check_clause(literals, n, w)
-            clauses.append(Clause(literals))
+            clauses.append(_new_clause(literals))
 
     read_lines(text, line, ("dnf", 3), comment="c", on_header=start)
     if len(clauses) != m:

@@ -12,13 +12,16 @@ direction of the machinery compiles a clause-checking verifier into trees
 (`compile_dnf_verifier_to_trees`) so a reward-maximizing proof can be read
 off an fdt oracle (`completeness_harness`). `fdt_to_fdnf` emits every path;
 the oracle (`FdtOracle`) keeps only the paths ranked up to the first
-read-free one, since no later path can be the first satisfied. Both walk
-with `root_to_leaf_paths`; the oracle passes it its cut as a leaf
-predicate, so a dropped path's literal tuple is never built.
+read-free one, since no later path can be the first satisfied. Both take
+their paths from one generator over the whole collection,
+`root_to_leaf_paths`; the oracle hands it that cut as a (rank, tree) pair,
+and the walk tests a leaf against it before building the path's literal
+tuple, so a dropped path's literals are never built.
 
 A `DecisionTree` checks its shape when it is built (`DecisionTree.validate`,
-one walk) and records its span; an `FdtInstance` checks only that each
-span fits its memory, with no walk. Nothing downstream checks a tree again.
+one walk) and records its span and depth; an `FdtInstance` checks only
+that each span fits its memory, with no walk. Nothing downstream checks or
+walks a tree again to learn either.
 The compiler's trees are trusted: they come from a checked `DnfInstance`
 and are built unchecked, so no compiled tree is ever walked for checking.
 Nodes are immutable, so a compile shares them between its trees: one
@@ -64,6 +67,22 @@ class Read:
     right: int
 
 
+_new = object.__new__
+_set_index, _set_left, _set_right = Read.index.__set__, Read.left.__set__, Read.right.__set__
+
+
+def _new_read(index: int, left: int, right: int) -> Read:
+    """`Read(index, left, right)` without the frozen dataclass's `__init__`,
+    which pays one `object.__setattr__` per field: each field is set through
+    its slot descriptor. The result is an ordinary `Read`, equal to, hashing
+    as and as frozen as the constructor's."""
+    node = _new(Read)
+    _set_index(node, index)
+    _set_left(node, left)
+    _set_right(node, right)
+    return node
+
+
 @dataclass(frozen=True, slots=True)
 class Write:
     index: int
@@ -84,25 +103,28 @@ class DecisionTree:
 
     A tree checks its shape when it is built (`validate`) and records its
     `span`, one past the largest memory index any node touches, so that a
-    collection can check that it fits its memory without a second walk.
+    collection can check that it fits its memory without a second walk,
+    and its depth, the most Read and Write nodes on one root-to-leaf path.
     """
 
     nodes: list
     span: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def validate(self, memory_len: int | None = None) -> "DecisionTree":
         """One walk from the root: every node is reached once and is exactly
         a `Read`, `Write` or `End` (no subclass, so that `execute_tree` can
         dispatch on type), labels and written bits are bits, indices are
         nonnegative, and no path reads an index twice or after writing it.
-        Sets `span`; with memory_len, the span must not exceed it."""
+        Sets `span` and the depth; with memory_len, the span must not
+        exceed it."""
         nodes = self.nodes
         size = len(nodes)
         if not size:
             raise ParseError("tree has no nodes")
         reached = bytearray(size)
         reached[0] = 1
-        span = 0
+        span = depth = 0
         stack = [(0, (), ())]
         while stack:
             at, read_seen, written = stack.pop()
@@ -111,6 +133,9 @@ class DecisionTree:
             if kind is End:
                 if node.x not in (0, 1):
                     raise ParseError(f"node {at}: x label must be a bit")
+                # one index per Read and per Write on the path to this leaf
+                if len(read_seen) + len(written) > depth:
+                    depth = len(read_seen) + len(written)
                 continue
             if kind is Read:
                 index = node.index
@@ -141,7 +166,7 @@ class DecisionTree:
                 stack.append((c, read_seen, written))
         if 0 in reached:
             raise ParseError("unreachable nodes present")
-        self.span = span
+        self.span, self._depth = span, depth
         if memory_len is not None and span > memory_len:
             raise IndexOutOfRange(f"index {span - 1} vs memory of {memory_len}")
         return self
@@ -149,27 +174,17 @@ class DecisionTree:
     __post_init__ = validate
 
     @staticmethod
-    def _unchecked(nodes: list, span: int) -> "DecisionTree":
+    def _unchecked(nodes: list, span: int, depth: int) -> "DecisionTree":
         """A tree from nodes already known to be in normal form, with their
-        span, without a second check."""
+        span and depth, without a second check."""
         tree = object.__new__(DecisionTree)
-        tree.nodes, tree.span = nodes, span
+        tree.nodes, tree.span, tree._depth = nodes, span, depth
         return tree
 
     def depth(self) -> int:
-        best = 0
-        stack = [(0, 0)]
-        while stack:
-            at, d = stack.pop()
-            node = self.nodes[at]
-            if isinstance(node, End):
-                best = max(best, d)
-            elif isinstance(node, Read):
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-            else:
-                stack.append((node.child, d + 1))
-        return best
+        """The most Read and Write nodes on one root-to-leaf path, as
+        recorded when the tree was checked or compiled."""
+        return self._depth
 
 
 @dataclass
@@ -260,32 +275,56 @@ def fdt_update(inst: FdtInstance, position: int, value: int) -> FdtInstance:
 # ---------------------------------------------------------------------------
 
 
-def root_to_leaf_paths(tree: DecisionTree, keep=None):
-    """Yield (leaf node id, literals) per root-to-leaf path, left before right.
+def root_to_leaf_paths(trees, cut=None):
+    """Yield (tree index, leaf node id, rank, literals) per root-to-leaf
+    path of every tree in turn, each tree's paths left before right.
 
     Left branches contribute negated literals, right branches positive ones,
     as (index, positive) pairs; write nodes contribute nothing (normal form
     guarantees later reads never see them). Each End node ends one path.
-    With `keep`, a predicate on End nodes, a path whose End fails it is
-    not yielded, and its literal tuple is never built when the End hangs
-    off a read; the kept paths come in the same order.
+    Nodes are dispatched on their exact type, as in `execute_tree`.
+
+    `cut`, a (rank, tree index) pair, keeps only the paths whose leaf rank
+    is above that rank, or equal to it in a tree up to that index; a read
+    tests its End children against it before building their literal
+    tuples, so a dropped path's tuple is never built. The kept paths come
+    in the same order. Without a cut every path is kept.
     """
-    stack = [(0, ())]
-    nodes = tree.nodes
-    while stack:
-        at, lits = stack.pop()
-        node = nodes[at]
-        if isinstance(node, End):
-            if keep is None or keep(node):
-                yield at, lits
-        elif isinstance(node, Read):
-            right, left = nodes[node.right], nodes[node.left]
-            if keep is None or not isinstance(right, End) or keep(right):
-                stack.append((node.right, lits + ((node.index, True),)))
-            if keep is None or not isinstance(left, End) or keep(left):
-                stack.append((node.left, lits + ((node.index, False),)))
-        else:
-            stack.append((node.child, lits))
+    floor, last_tied = (-math.inf, -1) if cut is None else cut
+    stack: list = []  # the right branches still to walk, empty between trees
+    for t_idx, tree in enumerate(trees):
+        nodes = tree.nodes
+        tied = t_idx <= last_tied
+        at, lits = 0, ()
+        while True:
+            node = nodes[at]
+            kind = type(node)
+            if kind is Read:
+                # go on down the left branch if it is kept, else the right
+                index, left, right = node.index, node.left, node.right
+                child = nodes[right]
+                go_right = (type(child) is not End or child.rank > floor
+                            or tied and child.rank == floor)
+                child = nodes[left]
+                if (type(child) is not End or child.rank > floor
+                        or tied and child.rank == floor):
+                    if go_right:
+                        stack.append((right, lits + ((index, True),)))
+                    at, lits = left, lits + ((index, False),)
+                    continue
+                if go_right:
+                    at, lits = right, lits + ((index, True),)
+                    continue
+            elif kind is Write:
+                at = node.child
+                continue
+            else:
+                rank = node.rank
+                if rank > floor or tied and rank == floor:
+                    yield t_idx, at, rank, lits
+            if not stack:
+                break
+            at, lits = stack.pop()
 
 
 @dataclass
@@ -303,10 +342,9 @@ def fdt_to_fdnf(inst: FdtInstance) -> FdnfImage:
     is descending leaf rank, ties by (tree index, path discovery order)."""
     clauses: list[Clause] = []
     provenance: list[tuple[int, int, int]] = []  # (tree, leaf, rank)
-    for t_idx, tree in enumerate(inst.trees):
-        for leaf, lits in root_to_leaf_paths(tree):
-            clauses.append(Clause(lits))
-            provenance.append((t_idx, leaf, tree.nodes[leaf].rank))
+    for t_idx, leaf, rank, lits in root_to_leaf_paths(inst.trees):
+        clauses.append(Clause(lits))
+        provenance.append((t_idx, leaf, rank))
     base = DnfInstance(
         num_vars=len(inst.memory),
         clauses=clauses,
@@ -359,28 +397,25 @@ def compile_dnf_verifier_to_trees(inst: DnfInstance, budget: int | None = None):
     accept, reject = End(1, 1, 1), End(0, -1, -1)
     reads: dict[tuple[int, int, int], Read] = {}
     for c in inst.clauses:
-        if not c.literals:
-            trees.append(unchecked([accept], 0))
-            continue
-        nodes: list = [None] * len(c.literals)
-        success = len(nodes)
-        nodes.append(accept)
+        literals = c.literals
+        width = len(literals)
+        # the reads, then the accept leaf, then one reject leaf per read:
+        # one shared fail leaf per mismatch keeps this a tree, not a DAG
+        nodes = [None] * width + [accept] + [reject] * width
+        fail = width + 1
         span = 0
-        # one shared fail leaf per mismatch keeps this a tree, not a DAG,
-        # so each literal gets its own node position
-        for depth, (var, positive) in enumerate(c.literals):
-            follow = depth + 1 if depth + 1 < len(c.literals) else success
-            fail = len(nodes)
-            nodes.append(reject)
-            key = (var, fail, follow) if positive else (var, follow, fail)
+        for depth, (var, positive) in enumerate(literals):
+            # the read after the last one is the accept leaf at `width`
+            key = (var, fail, depth + 1) if positive else (var, depth + 1, fail)
             node = reads.get(key)
             if node is None:
-                node = reads[key] = Read(*key)
+                node = reads[key] = _new_read(*key)
             nodes[depth] = node
+            fail += 1
             if var >= span:
                 span = var + 1
-        trees.append(unchecked(nodes, span))
-    trees.append(unchecked([End(0, 0, 0)], 0))
+        trees.append(unchecked(nodes, span, width))
+    trees.append(unchecked([End(0, 0, 0)], 0, 0))
     return trees
 
 
@@ -397,7 +432,8 @@ class FdtOracle:
     paths up to and including it, and its walk builds the literals of no
     other path. For compiled verifiers that is each clause's accepting
     path and the trailing null-proof tree. An update costs the bit's
-    occurrences over the kept paths, an answer O(log paths) amortized. The mirrored memory is the counters' assignment.
+    occurrences over the kept paths, an answer O(log paths) amortized.
+    The mirrored memory is the counters' assignment.
     Each tree checked itself when it was built, or was compiled from a
     checked instance and is trusted; its `FdtInstance` checked the spans.
     """
@@ -410,9 +446,9 @@ class FdtOracle:
         for t_idx, tree in enumerate(trees):
             nodes = tree.nodes
             node = nodes[0]
-            while isinstance(node, Write):
+            while type(node) is Write:
                 node = nodes[node.child]
-            if isinstance(node, End) and node.rank > cut_rank:
+            if type(node) is End and node.rank > cut_rank:
                 cut_rank, cut_tree = node.rank, t_idx
 
         # one path per kept End node: bucket start per rank, highest first;
@@ -421,33 +457,21 @@ class FdtOracle:
             node.rank
             for t_idx, tree in enumerate(trees)
             for node in tree.nodes
-            if isinstance(node, End)
+            if type(node) is End
             and (node.rank > cut_rank or node.rank == cut_rank and t_idx <= cut_tree)
         )
         offset, total = {}, 0
         for rank in sorted(per_rank, reverse=True):
             offset[rank] = total
             total += per_rank[rank]
-        self.path_tree = array("i", [0]) * total
-
-        # the same rule as a leaf predicate, so that the walk builds no
-        # literal tuple for a path it drops
-        def up_to_cut(end):
-            return end.rank >= cut_rank
-
-        def above_cut(end):
-            return end.rank > cut_rank
+        self.path_tree = path_tree = array("i", [0]) * total
 
         def placed():
-            for t_idx, tree in enumerate(trees):
-                nodes = tree.nodes
-                keep = up_to_cut if t_idx <= cut_tree else above_cut
-                for leaf, lits in root_to_leaf_paths(tree, keep):
-                    rank = nodes[leaf].rank
-                    pos = offset[rank]
-                    offset[rank] = pos + 1
-                    self.path_tree[pos] = t_idx
-                    yield pos, lits
+            for t_idx, _, rank, lits in root_to_leaf_paths(trees, (cut_rank, cut_tree)):
+                pos = offset[rank]
+                offset[rank] = pos + 1
+                path_tree[pos] = t_idx
+                yield pos, lits
 
         self.paths = ClauseCounters.from_literals(
             len(inst.memory), inst.memory, total, placed()

@@ -150,8 +150,22 @@ def _cartesian(arcs: list[_Arc]) -> _Arc:
         last = None
         while spine and spine[-1].prio > x.prio:
             last = spine.pop()
-            # its subtrees are final once it leaves the right spine
-            _pull_up(last, last.parent)
+            # its subtrees are final once it leaves the right spine, so it
+            # is refreshed from its two children, as `_pull_up` would
+            size = 1
+            mn = last.own
+            child = last.left
+            if child is not None:
+                size += child.size
+                if child.min_vertex < mn:
+                    mn = child.min_vertex
+            child = last.right
+            if child is not None:
+                size += child.size
+                if child.min_vertex < mn:
+                    mn = child.min_vertex
+            last.size = size
+            last.min_vertex = mn
         x.left = last
         if last is not None:
             last.parent = x
@@ -448,18 +462,23 @@ class DynamicForest:
         """
         if self._edges:
             raise ValueError("build needs a forest without edges")
-        uf = UnionFind(self.n)
-        adj: list[list] = [[] for _ in range(self.n)]
+        n = self.n
+        union = UnionFind(n).union
+        adj: list[list] = [[] for _ in range(n)]
         rand = self._rng.random
+        edge_arc = self._edge_arc
         for u, v in edges:
-            self._check(u)
-            self._check(v)
-            if not uf.union(u, v):
+            # `_check`'s range test, inline
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} out of range")
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range")
+            if not union(u, v):
                 continue
             arc_uv = _Arc(u, v, rand())
             arc_vu = _Arc(v, u, rand())
-            self._edge_arc[(u, v)] = arc_uv
-            self._edge_arc[(v, u)] = arc_vu
+            edge_arc[(u, v)] = arc_uv
+            edge_arc[(v, u)] = arc_vu
             adj[u].append((v, arc_uv, arc_vu))
             adj[v].append((u, arc_vu, arc_uv))
             self._edges += 1

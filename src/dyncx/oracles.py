@@ -28,7 +28,18 @@ class UnionFind:
         return root
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
+        # both roots found inline, each path compressed as `find` does
+        parent = self.parent
+        ra = a
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[a] != ra:
+            parent[a], a = ra, parent[a]
+        rb = b
+        while parent[rb] != rb:
+            rb = parent[rb]
+        while parent[b] != rb:
+            parent[b], b = rb, parent[b]
         if ra == rb:
             return False
         if self.rank[ra] < self.rank[rb]:

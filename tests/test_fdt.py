@@ -2,12 +2,13 @@ import itertools
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncx.dnf import (
+    Clause,
     ClauseCounters,
     DnfInstance,
     clause,
@@ -414,6 +415,86 @@ def test_compiled_trees_pass_the_checked_constructor(data):
         assert checked == t
 
 
+def walked_depth(tree):
+    """The most Read and Write nodes on one root-to-leaf path, by a walk
+    of its own."""
+    best = 0
+    stack = [(0, 0)]
+    while stack:
+        at, d = stack.pop()
+        node = tree.nodes[at]
+        if isinstance(node, End):
+            best = max(best, d)
+        elif isinstance(node, Read):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+        else:
+            stack.append((node.child, d + 1))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recorded_depth_matches_a_walk(data):
+    """`depth()` returns what `validate` or the compiler recorded, and that
+    is the depth a separate walk finds, for drawn and compiled trees."""
+    width = data.draw(st.integers(1, 4))
+    for _ in range(3):
+        tree = drawn_tree(data, width)
+        assert tree.depth() == walked_depth(tree)
+    n = data.draw(st.integers(1, 6))
+    literal = st.tuples(st.integers(1, n), st.booleans())
+    drawn = data.draw(st.lists(st.lists(literal, max_size=4, unique_by=lambda l: l[0]),
+                               max_size=6))
+    cl = [clause(*[v if positive else -v for v, positive in lits]) for lits in drawn]
+    inst = DnfInstance(n, cl, [0] * n, max((c.width for c in cl), default=0))
+    trees = compile_dnf_verifier_to_trees(inst)
+    assert [t.depth() for t in trees] == [c.width for c in cl] + [0]
+    for t in trees:
+        assert t.depth() == walked_depth(t) == DecisionTree(list(t.nodes)).depth()
+
+
+def test_parsed_clauses_and_compiled_reads_equal_their_constructed_twins():
+    """`parse_dnf` and the compiler build their nodes without the dataclass
+    `__init__`; each is still an exact, frozen instance that compares and
+    hashes as the constructor's."""
+    inst = parse_dnf("p dnf 4 3 3\n1 -2 3 0\n-4 0\n2 4 -1 0\na 0 1 0 1\n")
+    twins = [Clause(((0, True), (1, False), (2, True))), Clause(((3, False),)),
+             Clause(((1, True), (3, True), (0, False)))]
+    reads = [node for tree in compile_dnf_verifier_to_trees(inst)
+             for node in tree.nodes if type(node) is Read]
+    # a width-w clause's nodes: w reads, the accept leaf, w reject leaves
+    read_twins = [Read(0, 4, 1), Read(1, 2, 5), Read(2, 6, 3), Read(3, 1, 2),
+                  Read(1, 4, 1), Read(3, 5, 2), Read(0, 3, 6)]
+    assert len(reads) == len(read_twins)
+    for built, twin in zip(inst.clauses + reads, twins + read_twins):
+        assert type(built) is type(twin)
+        assert built == twin and hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+        field = "literals" if type(built) is Clause else "index"
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, field, getattr(twin, field))
+
+
+def test_oracle_streams_its_paths_into_the_counters(monkeypatch):
+    """The oracle hands `from_literals` an iterator over its kept paths,
+    not a list of them."""
+    handed = []
+    real = ClauseCounters.from_literals.__func__
+
+    def spy(cls, num_vars, assignment, m, placed):
+        handed.append(placed)
+        return real(cls, num_vars, assignment, m, placed)
+
+    monkeypatch.setattr(ClauseCounters, "from_literals", classmethod(spy))
+    inst = parse_dnf("p dnf 3 2 2\n1 -2 0\n3 0\na 1 0 0\n")
+    oracle = FdtOracle(FdtInstance([1, 0, 0], compile_dnf_verifier_to_trees(inst)))
+    assert oracle.answer() == 0
+    [placed] = handed
+    assert not isinstance(placed, (list, tuple))
+    assert iter(placed) is placed
+    assert next(placed, None) is None  # drained by the build
+
+
 def test_compile_budget():
     inst = parse_dnf("p dnf 2 2 1\n1 0\n2 0\na 0 0\n")
     with pytest.raises(BudgetExceeded):
@@ -481,13 +562,11 @@ class AllPathsFdtOracle(FdtOracle):
         self.path_tree = array("i", [0]) * total
 
         def placed():
-            for t_idx, tree in enumerate(inst.trees):
-                for leaf, lits in root_to_leaf_paths(tree):
-                    rank = tree.nodes[leaf].rank
-                    pos = offset[rank]
-                    offset[rank] = pos + 1
-                    self.path_tree[pos] = t_idx
-                    yield pos, lits
+            for t_idx, _, rank, lits in root_to_leaf_paths(inst.trees):
+                pos = offset[rank]
+                offset[rank] = pos + 1
+                self.path_tree[pos] = t_idx
+                yield pos, lits
 
         self.paths = ClauseCounters.from_literals(
             len(inst.memory), inst.memory, total, placed()
@@ -536,8 +615,8 @@ def test_pruned_oracle_matches_the_all_paths_reference(data):
 def test_pruned_walk_builds_the_counters_of_the_all_paths_prefix(data):
     """The pruned oracle's counters are the all-paths reference's counters
     cut to the kept prefix: the same occurrence lists, unsatisfied counts
-    and satisfied tally, at build time and after every update. A kept
-    path's walk with the leaf predicate is the unpruned walk filtered."""
+    and satisfied tally, at build time and after every update. The walk
+    with a cut is the uncut walk filtered by the cut's rule."""
     width = data.draw(st.integers(1, 4))
     trees = [
         read_free_tree(data, width) if data.draw(st.booleans()) else drawn_tree(data, width)
@@ -548,14 +627,10 @@ def test_pruned_walk_builds_the_counters_of_the_all_paths_prefix(data):
     reference = AllPathsFdtOracle(FdtInstance(list(memory), trees))
     kept = len(oracle.path_tree)
     floor = data.draw(st.integers(-3, 3))
-
-    def keep(end):
-        return end.rank >= floor
-
-    for tree in trees:
-        assert list(root_to_leaf_paths(tree, keep)) == [
-            (leaf, lits) for leaf, lits in root_to_leaf_paths(tree)
-            if keep(tree.nodes[leaf])]
+    last_tied = data.draw(st.integers(-1, len(trees)))
+    assert list(root_to_leaf_paths(trees, (floor, last_tied))) == [
+        (t_idx, leaf, rank, lits) for t_idx, leaf, rank, lits in root_to_leaf_paths(trees)
+        if rank > floor or rank == floor and t_idx <= last_tied]
 
     def agree():
         paths, ref = oracle.paths, reference.paths
