@@ -1,5 +1,10 @@
 """Dynamic graph connectivity protocols.
 
+Every protocol, oracle and adversary reads its graph through one
+`DynamicGraph`, which keeps each edge once, in its two endpoints'
+neighbour sets; the (u, v) pairs are built from those sets only when a
+reader asks for them (`edges`, `sorted_edges()`).
+
 Three layers:
 
 * `ConnVerifier`: keeps a forest F inside the graph. Insertions self-serve
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .framework import (
     BOTTOM,
@@ -61,58 +66,75 @@ class DuplicateEdge(DyncxError):
     pass
 
 
-@dataclass
 class DynamicGraph:
     """Undirected simple graph on a fixed node set.
 
-    `adj[v]` is v's neighbour set, kept in step with `edges`; equality
-    compares the node count and edge set only. Vertices are 0-based, but
-    error messages name them by the graph file's 1-based ids.
+    The edges are kept once, as neighbour sets: `adj[v]` holds v's
+    neighbours, and (u, v) is an edge exactly when v is in `adj[u]` and u
+    in `adj[v]`. `edges` and `sorted_edges()` build the (u, v), u < v,
+    pairs from them on demand. Equality compares the node count and the
+    neighbour sets. Vertices are 0-based, but error messages name them by
+    the graph file's 1-based ids.
     """
 
-    num_nodes: int
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    adj: list[set[int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("num_nodes", "adj")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.edges = {self._key(u, v) for u, v in self.edges}
-        self.adj = [set() for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+    def __init__(self, num_nodes: int, edges=()):
+        self.num_nodes = num_nodes
+        self.adj = adj = [set() for _ in range(num_nodes)]
+        for u, v in edges:  # a repeated edge is dropped silently
+            self._check(u, v)
+            adj[u].add(v)
+            adj[v].add(u)
 
-    def _key(self, u: int, v: int) -> tuple[int, int]:
+    def _check(self, u: int, v: int):
         if u == v:
             raise ParseError("self-loops are not allowed")
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             raise ParseError(f"edge ({u + 1},{v + 1}) out of range")
-        return (u, v) if u < v else (v, u)
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v, built on each read."""
+        return {(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v}
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v, in ascending order."""
+        return sorted([(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_nodes == other.num_nodes and self.adj == other.adj
+
+    def __repr__(self) -> str:
+        return f"DynamicGraph(num_nodes={self.num_nodes!r}, edges={self.edges!r})"
 
     def has(self, u: int, v: int) -> bool:
         """Is (u, v) an edge? The membership test proof edges are checked
-        by: `_key` keeps out-of-range ids and loops out of `edges`."""
-        return ((u, v) if u < v else (v, u)) in self.edges
+        by: out-of-range ids and loops are never edges."""
+        return 0 <= u < self.num_nodes and v in self.adj[u]
 
     def insert(self, u: int, v: int):
-        key = self._key(u, v)
-        if key in self.edges:
-            raise DuplicateEdge(f"edge ({key[0] + 1},{key[1] + 1}) already present")
-        self.edges.add(key)
-        self.adj[u].add(v)
+        self._check(u, v)
+        nbrs = self.adj[u]
+        if v in nbrs:
+            raise DuplicateEdge(f"edge ({min(u, v) + 1},{max(u, v) + 1}) already present")
+        nbrs.add(v)
         self.adj[v].add(u)
 
     def delete(self, u: int, v: int):
-        key = self._key(u, v)
-        if key not in self.edges:
-            raise UnknownEdge(f"edge ({key[0] + 1},{key[1] + 1}) not present")
-        self.edges.remove(key)
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        self._check(u, v)
+        nbrs = self.adj[u]
+        if v not in nbrs:
+            raise UnknownEdge(f"edge ({min(u, v) + 1},{max(u, v) + 1}) not present")
+        nbrs.remove(v)
+        self.adj[v].remove(u)
 
     def copy(self) -> "DynamicGraph":
         dup = object.__new__(DynamicGraph)
         dup.num_nodes = self.num_nodes
-        dup.edges = set(self.edges)
         dup.adj = [set(nbrs) for nbrs in self.adj]
         return dup
 
@@ -161,7 +183,8 @@ def _smallest_replacement(graph: DynamicGraph, forest: DynamicForest, u: int, v:
 
 
 class ConnVerifier:
-    """x=1 iff the maintained forest has N-1 edges (a spanning tree).
+    """x=1 iff the maintained forest has N-1 edges (a spanning tree), or the
+    graph has no nodes.
 
     Proofs only matter when a tree edge is deleted: the null proof concedes
     (y=0); an edge e' earns y=1 when e' is a current graph edge that
@@ -174,10 +197,12 @@ class ConnVerifier:
     def __init__(self, graph: DynamicGraph, forest_seed: int = 0, op_budget=None):
         self.graph = graph.copy()
         self.forest = DynamicForest(graph.num_nodes, forest_seed, op_budget)
-        self.forest.build(sorted(self.graph.edges))
+        self.forest.build(self.graph.sorted_edges())
 
     def _x(self) -> int:
-        return 1 if self.forest.edge_count == self.graph.num_nodes - 1 else 0
+        # a forest has at most n - 1 edges, so `>=` differs from `==` only on
+        # a graph with no nodes, which reads connected, as in `oracles`
+        return 1 if self.forest.edge_count >= self.graph.num_nodes - 1 else 0
 
     def initial_output(self) -> VerifierOutput:
         return OUTPUTS[self._x()][0]
@@ -189,7 +214,7 @@ class ConnVerifier:
         return dup
 
     def proof_space(self, token) -> list[bytes]:
-        return [BOTTOM] + [encode_edge(u, v) for u, v in sorted(self.graph.edges)]
+        return [BOTTOM] + [encode_edge(u, v) for u, v in self.graph.sorted_edges()]
 
     def step(self, token, proof: bytes) -> VerifierOutput:
         if token[0] == "q":
@@ -238,7 +263,7 @@ def cycle_making_prover(verifier: ConnVerifier, token) -> bytes:
     """Adversarial: proposes an edge already inside one forest component,
     found by the forest's unmetered `tree_of`."""
     forest = verifier.forest
-    for a, b in sorted(verifier.graph.edges):
+    for a, b in verifier.graph.sorted_edges():
         if forest.tree_of(a) is forest.tree_of(b):
             return encode_edge(a, b)
     return b"\x00" * 8
@@ -313,10 +338,10 @@ class ForestConnectivityOracle:
         self.tree: list[set[int]] = [set() for _ in range(num_nodes)]
         uf = oracles.UnionFind(num_nodes)
         # any maximal forest is correct; in sorted order it is the greedy one
-        # the protocol's `forest.build(sorted(graph.edges))` gives, so over a
+        # the protocol's `forest.build(graph.sorted_edges())` gives, so over a
         # spanning protocol's graph the oracle's tree edges start as the
         # protocol's and the searches of both fall on the same deletions
-        for u, v in sorted(self.graph.edges):
+        for u, v in self.graph.sorted_edges():
             if uf.union(u, v):
                 self.tree[u].add(v)
                 self.tree[v].add(u)
@@ -419,17 +444,16 @@ class SpanningForestProtocol:
         n = graph.num_nodes
         self.super_node = n  # G' lives on nodes 0..n
         self.forest = DynamicForest(n, forest_seed)
-        roots = self.forest.build(sorted(self.graph.edges))
+        edges = self.graph.sorted_edges()
+        roots = self.forest.build(edges)
         # the forest's edges, kept sorted through every link and cut, and the
         # copy that reports hand out: the reports of steps that leave the
         # forest alone share one copy, and no later step changes it
         self._forest_edges = sorted(self.forest.tree_edges())
         self._reported_edges = None
         self.reps: set[int] = {root.min_vertex for root in roots}
-        prime_edges = set(self.graph.edges)
-        prime_edges |= {(rep, self.super_node) for rep in self.reps}
         factory = oracle_factory or ForestConnectivityOracle
-        self.oracle = factory(n + 1, prime_edges)
+        self.oracle = factory(n + 1, edges + [(rep, self.super_node) for rep in self.reps])
         self.prover = prover or honest_replacement_prover
         self.desynced = False
         self.step_no = 0
@@ -623,13 +647,13 @@ def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):
     if n < 2:
         return math.inf, set()
     budget = env_budget() if budget is None else budget
-    work = (n - 1) * (n + len(graph.edges))
+    work = (n - 1) * (n + sum(map(len, graph.adj)) // 2)
     if work > budget:
         raise BudgetExceeded(f"mincut work (n-1)(n+m) = {work} exceeds budget {budget}")
+    edges = graph.edges
     caps: dict[tuple[int, int], int] = {}
-    for u, v in graph.edges:
-        caps[(u, v)] = caps.get((u, v), 0) + 1
-        caps[(v, u)] = caps.get((v, u), 0) + 1
+    for u, v in edges:
+        caps[(u, v)] = caps[(v, u)] = 1
     best_value, best_side = None, None
     for t in range(1, n):
         value, side = oracles.max_flow(n, caps, 0, t)
@@ -637,11 +661,7 @@ def mincut_bruteforce(graph: DynamicGraph, budget: int | None = None):
             best_value, best_side = value, side
             if best_value == 0:
                 break
-    witness = {
-        (u, v)
-        for u, v in graph.edges
-        if (u in best_side) != (v in best_side)
-    }
+    witness = {(u, v) for u, v in edges if (u in best_side) != (v in best_side)}
     return best_value, witness
 
 
@@ -657,8 +677,7 @@ def mincut_oracle_prover(verifier: KconnVerifier, token) -> bytes:
 
 def oversized_proof_prover(verifier: KconnVerifier, token) -> bytes:
     """Adversarial: ships k (or more) edges, which must be rejected."""
-    edges = sorted(verifier.graph.edges)
-    return encode_edge_set(edges[: verifier.k])
+    return encode_edge_set(verifier.graph.sorted_edges()[: verifier.k])
 
 
 # ---------------------------------------------------------------------------
@@ -693,5 +712,5 @@ def format_graph(graph: DynamicGraph, k: int | None = None) -> str:
     out = [f"p graph {graph.num_nodes}"]
     if k is not None:
         out.append(f"k {k}")
-    out += [f"e {u + 1} {v + 1}" for u, v in sorted(graph.edges)]
+    out += [f"e {u + 1} {v + 1}" for u, v in graph.sorted_edges()]
     return "\n".join(out) + "\n"

@@ -12,7 +12,8 @@ single edge or node per recoloring, so one color flip is one target
 update throughout. Decoders lean on the brute-force solvers in
 `oracles`; the targets exist to validate answer correspondence, not to
 be fast. The diameter target is the connectivity protocols' own
-`DynamicGraph`.
+`DynamicGraph`, which keeps each edge once, in its neighbour sets; its
+decoder reads the edge set that `DynamicGraph.edges` builds from them.
 
 The module also carries the satisfiability driver: split the variables
 in half, scan all assignments of one half against clause nodes colored
@@ -224,11 +225,15 @@ def build_diameter(aw: AllWhiteInstance):
     uninteresting distances at 3 or less, leaving dist(scanned, t) as
     the only pair that can stretch to 4; it does exactly when some
     scanned node sees no black. Disconnection (no blacks at all) reads
-    as the >=4 branch.
+    as the >=4 branch. With no scanned node the source answer is always
+    NO, so t is tied to w as well, which keeps every distance at 2 or less
+    whatever the colors; the decoder reads any diameter up to 3 as NO.
     """
     s, t, w = 0, 1, 2
     scan0, col0 = 3, 3 + aw.num_r
     edges: set[tuple[int, int]] = {(s, w)}
+    if not aw.num_r:
+        edges.add((t, w))
     for r in range(aw.num_r):
         edges.add((s, scan0 + r))
     for l, r in aw.edges:
@@ -244,7 +249,7 @@ def build_diameter(aw: AllWhiteInstance):
         return ("e", "-" if white else "+", t, col0 + node)
 
     def decoder(tgt: DynamicGraph) -> int:
-        return 0 if oracles.diameter(tgt.num_nodes, tgt.edges) == 3 else 1
+        return 0 if oracles.diameter(tgt.num_nodes, tgt.edges) <= 3 else 1
 
     return target, _ColorTranslator(aw.colors, on_flip), decoder
 

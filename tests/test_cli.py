@@ -138,6 +138,20 @@ def test_verify_kconn_on_one_node_reads_no(tmp_path, capsys, check):
         assert payload["flags"] == {"sound": True, "complete": True}
 
 
+def test_verify_conn_on_a_graph_with_no_nodes_reads_connected(tmp_path, capsys):
+    # like `oracles.is_connected`, a graph of at most one node is connected
+    path = tmp_path / "empty.txt"
+    path.write_text("p graph 0\n")
+    (tmp_path / "q.txt").write_text("q\n")
+    rc, payload = run_json(
+        capsys, ["verify", "--problem", "conn", "--prover", "honest", "--in", str(path),
+                 "--updates", str(tmp_path / "q.txt"), "--check"]
+    )
+    assert rc == 0
+    assert [s["x"] for s in payload["steps"]] == [1, 1]
+    assert payload["flags"] == {"sound": True, "complete": True}
+
+
 def test_verify_kconn_without_k_errors(files, capsys):
     rc = main(["verify", "--problem", "kconn", "--in", files["graph.txt"]])
     assert rc == 2

@@ -746,6 +746,78 @@ def test_graph_rejects_bad_edits():
         g.insert(0, 9)
 
 
+def model_error(model, n, op, u, v):
+    """The (type, message) an edit of an edge-set model must raise, or None."""
+    key = (min(u, v), max(u, v))
+    if u == v:
+        return ParseError, "self-loops are not allowed"
+    if not (0 <= u < n and 0 <= v < n):
+        return ParseError, f"edge ({u + 1},{v + 1}) out of range"
+    if op == "insert" and key in model:
+        return DuplicateEdge, f"edge ({key[0] + 1},{key[1] + 1}) already present"
+    if op == "delete" and key not in model:
+        return UnknownEdge, f"edge ({key[0] + 1},{key[1] + 1}) not present"
+    return None
+
+
+def assert_graph_is_model(graph, n, model):
+    assert graph.edges == model
+    assert graph.sorted_edges() == sorted(model)
+    assert all(u in graph.adj[v] and u != v for u in range(n) for v in graph.adj[u])
+    assert graph == DynamicGraph(n, model)
+    text = repr(graph)
+    assert text.startswith(f"DynamicGraph(num_nodes={n}, edges=")
+    assert eval(text, {"DynamicGraph": DynamicGraph}) == graph
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_graph_matches_an_edge_set_model(data):
+    n = data.draw(st.integers(0, 9))
+    ids = st.integers(-1, n)  # one past each end of the range
+    start = data.draw(st.lists(st.tuples(ids, ids).filter(
+        lambda e: e[0] != e[1] and 0 <= min(e) and max(e) < n)))
+    model = {(min(e), max(e)) for e in start}
+    # repeats, in either orientation, are dropped
+    graph = DynamicGraph(n, start + [(v, u) for u, v in start])
+    assert_graph_is_model(graph, n, model)
+    frozen = []  # (graph, model) pairs left behind by `copy`, never edited again
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "has", "copy"]), ids, ids), max_size=30))
+    for op, u, v in ops:
+        if op == "has":
+            assert graph.has(u, v) == ((min(u, v), max(u, v)) in model)
+        elif op == "copy":
+            dup = graph.copy()
+            assert dup == graph and dup.adj is not graph.adj
+            frozen.append((graph, set(model)))
+            graph = dup  # later edits go to the copy
+        else:
+            error = model_error(model, n, op, u, v)
+            if error is None:
+                getattr(graph, op)(u, v)
+                (model.add if op == "insert" else model.remove)((min(u, v), max(u, v)))
+            else:
+                with pytest.raises(error[0]) as raised:
+                    getattr(graph, op)(u, v)
+                assert type(raised.value) is error[0] and str(raised.value) == error[1]
+        assert_graph_is_model(graph, n, model)
+    for old, old_model in frozen:
+        assert_graph_is_model(old, n, old_model)
+    assert graph != model and graph != DynamicGraph(n + 1, model)
+    with pytest.raises(TypeError):
+        hash(graph)
+
+
+def test_graph_keeps_each_edge_once():
+    assert DynamicGraph.__slots__ == ("num_nodes", "adj")
+    with pytest.raises(AttributeError):
+        triangle().edges = set()
+    # 16, 8 and 1 share a slot of a small set's table, which lists them as added
+    graph = DynamicGraph(17, [(0, 16), (0, 8), (0, 1)])
+    assert graph.sorted_edges() == [(0, 1), (0, 8), (0, 16)]
+
+
 def test_graph_file_round_trip():
     g = DynamicGraph(5, {(0, 4), (1, 2)})
     text = format_graph(g, k=3)

@@ -81,17 +81,14 @@ def test_diameter_three_versus_four():
     assert decode(target) == 1 == aw_bruteforce(aw)
 
 
-def test_diameter_degenerate_convention():
-    # no scanned nodes and no black nodes: the decoder reports the >=4
-    # branch even though the source says NO; documented convention
-    aw = AllWhiteInstance(1, 0, [], [True])
-    target, _, decode = build_diameter(aw)
-    assert decode(target) == 1
-    assert aw_bruteforce(aw) == 0
-    # with a black node present the degenerate gap closes
-    aw = AllWhiteInstance(1, 0, [], [False])
-    target, _, decode = build_diameter(aw)
-    assert decode(target) == 0 == aw_bruteforce(aw)
+def test_diameter_without_scanned_nodes_answers_no():
+    # no scanned node: the source says NO whatever the colors, and t is tied
+    # to the hub, so it is not isolated even when no node is black
+    for colors in ([True], [False], [True, False], []):
+        aw = AllWhiteInstance(len(colors), 0, [], colors)
+        target, _, decode = build_diameter(aw)
+        assert oracles.diameter(target.num_nodes, target.edges) <= 2
+        assert decode(target) == 0 == aw_bruteforce(aw)
 
 
 def test_reachability_family_branches():
@@ -110,13 +107,20 @@ def test_reachability_family_branches():
 # ---------------------------------------------------------------------------
 
 
+# no scanned node, and at some step no black node either
+NO_SCANNED = [
+    (AllWhiteInstance(2, 0, [], [True, False]), [("c", 1, "W"), ("q",), ("c", 0, "B")]),
+    (AllWhiteInstance(0, 0, [], []), [("q",), ("q",)]),
+]
+
+
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
 def test_per_step_agreement_on_random_streams(name, rng):
     build = REDUCTIONS[name]
+    for aw, stream in NO_SCANNED:
+        assert all(rec.agree for rec in check_reduction(build, aw, stream)), name
     for _ in range(20):
-        # the diameter decoder needs a scanned node to avoid its documented
-        # degenerate branch; everyone else takes fully empty instances too
-        aw = rand_aw(rng, r_lo=1 if name == "diameter" else 0)
+        aw = rand_aw(rng)
         stream = rand_color_stream(rng, aw.num_l, 25)
         records = check_reduction(build, aw, stream)
         assert len(records) == len(stream) + 1
