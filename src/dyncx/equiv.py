@@ -485,7 +485,8 @@ def parse_aw(text: str) -> AllWhiteInstance:
         else:
             raise ParseError("unknown line")
 
-    num_l, num_r = read_lines(text, line, ("aw", 2), on_header=start)
+    num_l, num_r = read_lines(text, line, ("aw", 2), on_header=start,
+                              line_arity={"e": 3, "c": 3})
     return AllWhiteInstance._unchecked(num_l, num_r, edges, colors)
 
 

@@ -111,7 +111,8 @@ def decode_edge_set(payload: bytes) -> list[tuple[int, int]]:
 
 
 def read_lines(text: str, handle, header: tuple[str, int] | None = None,
-               comment: str | None = None, on_header=None) -> tuple[int, ...]:
+               comment: str | None = None, on_header=None,
+               line_arity: dict[str, int] | None = None) -> tuple[int, ...]:
     """Call handle(fields, line number) for each body line of `text`; return
     the header counts.
 
@@ -122,9 +123,12 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
     past the budget a BudgetExceeded. on_header(counts), when given, runs
     once the header is read, so that `handle` can check ids against the
     counts line by line; the line number lets a format that checks a block
-    of lines after reading them all name the block's first line. A
-    ValueError, IndexError or DyncxError from `handle` comes back as a
-    ParseError naming the line.
+    of lines after reading them all name the block's first line.
+    line_arity[kind], when given, is the number of fields of a body line whose
+    first field is `kind`; such a line with more is a ParseError, "too many
+    fields", before `handle` sees it. A ValueError, IndexError or DyncxError
+    from `handle` comes back as a ParseError naming the line, an IndexError
+    as "too few fields".
     """
     counts = None if header else ()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -140,6 +144,8 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
         try:
             if parts[0] == "p" and header:
                 raise ParseError("second 'p' line")
+            if line_arity and len(parts) > line_arity.get(parts[0], len(parts)):
+                raise ParseError("too many fields")
             handle(parts, lineno)
         except (ValueError, IndexError, DyncxError) as exc:
             reason = "too few fields" if isinstance(exc, IndexError) else exc
@@ -203,11 +209,14 @@ class UpdateStream:
             items.append(_parse_token(parts))
             lines.append(lineno)
 
-        read_lines(text, token)
+        read_lines(text, token, line_arity=_TOKEN_ARITY)
         return cls(items, lines)
 
     def format(self) -> str:
         return "".join(format_token(tok) + "\n" for tok in self.items)
+
+
+_TOKEN_ARITY = {"f": 3, "e": 4, "c": 3, "q": 1}
 
 
 def _parse_token(parts: list[str]) -> tuple:

@@ -12,7 +12,7 @@ single edge or node per recoloring, so one color flip is one target
 update throughout. Decoders lean on the brute-force solvers in
 `oracles`; the targets exist to validate answer correspondence, not to
 be fast. The diameter target is the connectivity protocols' own
-`DynamicGraph`, which keeps each edge once, in its neighbour sets; its
+`DynamicGraph`, which keeps each edge once, in its neighbour dicts; its
 decoder reads the edge set that `DynamicGraph.edges` builds from them.
 
 The module also carries the satisfiability driver: split the variables

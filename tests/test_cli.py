@@ -152,6 +152,26 @@ def test_verify_conn_on_a_graph_with_no_nodes_reads_connected(tmp_path, capsys):
     assert payload["flags"] == {"sound": True, "complete": True}
 
 
+def test_verify_kconn_k_flag_overrides_the_k_line(tmp_path, capsys):
+    path = tmp_path / "kgraph.txt"
+    path.write_text("p graph 3\nk 3\ne 1 2\ne 2 3\ne 1 3\n")  # a triangle: min cut 2
+    _, from_line = run_json(capsys, ["verify", "--problem", "kconn", "--in", str(path)])
+    _, from_flag = run_json(capsys, ["verify", "--problem", "kconn", "--in", str(path),
+                                     "--k", "2"])
+    assert (from_line["steps"][0]["x"], from_flag["steps"][0]["x"]) == (1, 0)
+
+
+@pytest.mark.parametrize("k_lines, lineno", [("k 0\n", 2), ("k 2\nk 3\n", 3)],
+                         ids=["zero", "repeated"])
+def test_verify_kconn_bad_k_line_exits_2_naming_it(tmp_path, capsys, k_lines, lineno):
+    path = tmp_path / "kgraph.txt"
+    path.write_text("p graph 3\n" + k_lines + "e 1 2\n")
+    rc = main(["verify", "--problem", "kconn", "--in", str(path), "--k", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"line {lineno}: " in err and "Traceback" not in err
+
+
 def test_verify_kconn_without_k_errors(files, capsys):
     rc = main(["verify", "--problem", "kconn", "--in", files["graph.txt"]])
     assert rc == 2

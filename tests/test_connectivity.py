@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -813,7 +815,7 @@ def test_graph_keeps_each_edge_once():
     assert DynamicGraph.__slots__ == ("num_nodes", "adj")
     with pytest.raises(AttributeError):
         triangle().edges = set()
-    # 16, 8 and 1 share a slot of a small set's table, which lists them as added
+    # a neighbour dict lists them as added, 16 before 8 before 1
     graph = DynamicGraph(17, [(0, 16), (0, 8), (0, 1)])
     assert graph.sorted_edges() == [(0, 1), (0, 8), (0, 16)]
 
@@ -832,6 +834,30 @@ def test_graph_file_rejects_garbage():
         parse_graph("e 1 2\n")
     with pytest.raises(ParseError):
         parse_graph("p graph 3\nz 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p graph 2\nk 0\n", "line 2: 'k 0': k must be >= 1"),
+    ("p graph 2\nk -1\n", "line 2: 'k -1': k must be >= 1"),
+    ("p graph 2\nk 2\ne 1 2\nk 3\n", "line 4: 'k 3': second 'k' line"),
+], ids=["zero", "negative", "repeated"])
+def test_graph_file_checks_its_k_line_on_that_line(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_graph(text)
+    assert str(raised.value) == message
+
+
+def test_graph_adjacency_footprint():
+    """Neighbours are dict keys: at the degrees of a 300-node, 900-edge
+    graph a compact dict takes under half the bytes of a set's table,
+    however the graph was built."""
+    n = 300
+    edges = random.Random(7).sample(list(itertools.combinations(range(n), 2)), 900)
+    text = "".join([f"p graph {n}\n"] + [f"e {u + 1} {v + 1}\n" for u, v in edges])
+    built = DynamicGraph(n, edges)
+    for graph in (parse_graph(text)[0], built, built.copy()):
+        adj = graph.adj
+        assert sys.getsizeof(adj) + sum(map(sys.getsizeof, adj)) < 110_000
 
 
 def test_kconn_maximizing_prover_is_complete():

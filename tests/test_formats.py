@@ -183,6 +183,24 @@ def test_id_checks_name_the_line(parse, text, lineno):
         parse(text)
 
 
+@pytest.mark.parametrize("parse, raw", [
+    (parse_graph, "e 1 2 9"),
+    (parse_graph, "k 2 7"),
+    (parse_aw, "e 1 1 5"),
+    (parse_aw, "c 1 W x"),
+    (UpdateStream.parse, "q 1"),
+    (UpdateStream.parse, "f 1 1 0"),
+    (UpdateStream.parse, "e + 1 2 3"),
+    (UpdateStream.parse, "c 1 W B"),
+], ids=["graph-edge", "graph-k", "aw-edge", "aw-color", "update-q", "update-f",
+        "update-e", "update-c"])
+def test_fixed_arity_lines_refuse_extra_fields(parse, raw):
+    header = {parse_graph: "p graph 3", parse_aw: "p aw 1 1", UpdateStream.parse: "q"}
+    with pytest.raises(ParseError) as raised:
+        parse(f"{header[parse]}\n{raw}\n")
+    assert str(raised.value) == f"line 2: {raw!r}: too many fields"
+
+
 @st.composite
 def dnf_files(draw):
     """A `p dnf` file that may break any rule `validate` checks, with the
