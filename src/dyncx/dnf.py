@@ -551,10 +551,11 @@ def parse_dnf(text: str):
 
     Each line is checked as it is read, against the header counts, so an
     error names its line: clause lines by `check_clause` (the rule
-    `DnfInstance.validate` applies), the assignment's bits and length, and
-    the order a permutation. With every line checked, the instance is built
-    without a second check. Clauses share one (var, positive) pair per
-    distinct literal (`_LiteralPairs`).
+    `DnfInstance.validate` applies), the assignment's bits and length, the
+    order a permutation, and each of the `a` and `o` lines given at most
+    once. With every line checked, the instance is built without a second
+    check. Clauses share one (var, positive) pair per distinct literal
+    (`_LiteralPairs`).
     """
     clauses: list[Clause] = []
     assignment = None
@@ -569,12 +570,16 @@ def parse_dnf(text: str):
     def line(parts, _):
         nonlocal assignment, order
         if parts[0] == "a":
+            if assignment is not None:
+                raise ParseError("second 'a' line")
             assignment = [int(tok) for tok in parts[1:]]
             if any(b not in (0, 1) for b in assignment):
                 raise ParseError("assignment bits must be 0/1")
             if len(assignment) != n:
                 raise ParseError(f"{len(assignment)} assignment bits, header says {n}")
         elif parts[0] == "o":
+            if order is not None:
+                raise ParseError("second 'o' line")
             order = [int(tok) - 1 for tok in parts[1:]]
             if sorted(order) != list(range(m)):
                 raise ParseError("order must be a permutation of clause ids")

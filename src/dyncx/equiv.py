@@ -458,10 +458,12 @@ def graph_set_independent(edges, node_set) -> bool:
 def parse_aw(text: str) -> AllWhiteInstance:
     """Each line is checked as it is read, against the header counts, so an
     error names its line: edge lines by `check_edge` (the rule
-    `AllWhiteInstance.validate` applies) and color lines for range. With
-    every line checked, the instance is built without a second check."""
+    `AllWhiteInstance.validate` applies) and color lines for range, at most
+    one per node. With every line checked, the instance is built without a
+    second check."""
     edges: list[tuple[int, int]] = []
     seen: set = set()
+    colored: set = set()
     colors: list[bool] = []
     num_r = 0
 
@@ -481,6 +483,9 @@ def parse_aw(text: str) -> AllWhiteInstance:
             node = int(parts[1]) - 1
             if not 0 <= node < len(colors):
                 raise ParseError(f"color line for out-of-range node {node + 1}")
+            if node in colored:
+                raise ParseError(f"second 'c' line for node {node + 1}")
+            colored.add(node)
             colors[node] = parts[2] == "W"
         else:
             raise ParseError("unknown line")

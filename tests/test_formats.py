@@ -166,6 +166,7 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_aw, "p aw 2 1\ne 1 1\nc 0 B\n", 3),
     (parse_aw, "p aw 2 2\ne 1 1\ne 1 5\n", 3),
     (parse_aw, "p aw 2 2\ne 2 1\n# a comment\ne 1 2\n\ne 2 1\n", 6),
+    (parse_aw, "p aw 2 1\ne 1 1\nc 1 B\nc 1 W\n", 4),
     (parse_dnf, "p dnf 2 1 2\n3 0\na 0 0\n", 2),
     (parse_dnf, "p dnf 2 2 2\n1 0\n# a comment\n-2 2 0\n", 4),
     (parse_dnf, "p dnf 3 1 2\n1 2 3 0\n", 2),
@@ -173,11 +174,14 @@ def test_only_package_errors_escape_a_parser(name, data):
     (parse_dnf, "p dnf 2 2 1\n1 0\n2 0\no 1 1\n", 4),
     (parse_dnf, "p dnf 2 2 2\n1 0\n1 -2\n", 3),
     (parse_dnf, "p dnf 2 2 2\n1 0\n1 0 2 0\n", 3),
+    (parse_dnf, "p dnf 2 1 2\n1 2 0\na 0 0\na 1 1\n", 4),
+    (parse_dnf, "p dnf 2 2 1\n1 0\n2 0\no 1 2\no 2 1\n", 5),
 ], ids=["graph-edge-out-of-range", "graph-repeated-edge", "graph-self-loop",
         "aw-color-out-of-range", "aw-color-node-zero", "aw-edge-out-of-range",
-        "aw-repeated-edge", "dnf-literal-out-of-range",
+        "aw-repeated-edge", "aw-second-color-line", "dnf-literal-out-of-range",
         "dnf-repeated-variable", "dnf-wider-than-declared", "dnf-short-assignment",
-        "dnf-order-not-a-permutation", "dnf-clause-without-final-0", "dnf-stray-0"])
+        "dnf-order-not-a-permutation", "dnf-clause-without-final-0", "dnf-stray-0",
+        "dnf-second-a-line", "dnf-second-o-line"])
 def test_id_checks_name_the_line(parse, text, lineno):
     with pytest.raises(ParseError, match=rf"^line {lineno}: "):
         parse(text)
