@@ -11,7 +11,8 @@ import pytest
 from dyncx.cli import main
 
 from cli_scenarios import (
-    ROWS, TEXTS, faults, generated, inputs, sparse_dnf_text, with_random_signs)
+    BY_NAME, GOLDEN, ROWS, TEXTS, faults, generated, inputs, sparse_dnf_text,
+    with_random_signs)
 
 DNF_TEXT = TEXTS["inst.dnf"]
 
@@ -52,13 +53,118 @@ def scenario_dir(tmp_path_factory):
     return path, {}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
-def test_cli_scenario(row, scenario_dir, monkeypatch):
-    """One row of the CLI contract in tests/cli_scenarios.py, run through
-    `main` in the inputs' directory, so argv echoes are relative."""
+@pytest.fixture
+def scenario(scenario_dir, monkeypatch):
+    """Runs a row of tests/cli_scenarios.py, by name, through `main` in the
+    inputs' directory, so argv echoes are relative, and asserts it holds."""
     path, outputs = scenario_dir
     monkeypatch.chdir(path)
-    assert faults(row, run_in_process, outputs) == []
+
+    def check(name):
+        assert faults(BY_NAME[name], run_in_process, outputs) == []
+    return check
+
+
+# Tests that each ran their own copy of a command before the table existed
+# keep their ids, so a failure reads as it always has: each id runs the row
+# named here, and test_cli_scenario runs every row that none of them runs.
+NAMED_TESTS = {
+    "test_eval_reports_answers_and_counters": "eval",
+    "test_eval_algorithms_agree": "eval-naive-plain",
+    "test_verify_dnf_honest_is_sound_and_complete": "verify_dnf",
+    "test_verify_conn_adversary_stays_sound": "verify_conn_ghost",
+    "test_verify_conn_random_prover_is_seeded": "conn-random-again",
+    "test_verify_kconn_uses_k_flag": "kconn-k2",
+    "test_verify_kconn_reads_k_header": "kconn-k-line",
+    "test_verify_kconn_on_one_node_reads_no[plain]": "kconn-one-node",
+    "test_verify_kconn_on_one_node_reads_no[check]": "kconn-one-node-check",
+    "test_verify_conn_on_a_graph_with_no_nodes_reads_connected": "conn-no-nodes",
+    "test_verify_kconn_k_flag_overrides_the_k_line": "kconn-k-flag-overrides",
+    "test_verify_kconn_bad_k_line_exits_2_naming_it[zero]": "kconn-k-zero",
+    "test_verify_kconn_bad_k_line_exits_2_naming_it[repeated]": "kconn-k-twice",
+    "test_verify_kconn_without_k_errors": "kconn-without-k",
+    "test_verify_spanning_forest_valid": "verify_spanning",
+    "test_verify_spanning_forest_flags_stubborn_prover": "verify_spanning_stubborn",
+    "test_reduce_agrees_per_step[maxflow]": "reduce_maxflow",
+    **{f"test_reduce_agrees_per_step[{target}]": f"reduce-{target}"
+       for target in ("subconn", "diameter", "streach", "countreach", "countscc")},
+    "test_sat_command_verdicts": "sat-contradiction",
+    "test_sat_budget_exit_code": "sat-budget",
+    "test_complete_demo_matches_oracle": "complete_demo",
+    "test_bench_counters_win_at_the_largest_size": "bench-counters-win",
+    "test_missing_file_is_io_error": "eval-missing-file",
+    "test_bench_rejects_sizes_that_are_not_counts[abc]": "bench-sizes-word",
+    "test_bench_rejects_sizes_that_are_not_counts[4,x]": "bench-sizes-letter",
+    **{f"test_bench_rejects_negative_or_missing_work[{case}]": f"bench-{case}"
+       for case in ("negative-size", "no-sizes", "negative-steps")},
+    "test_malformed_instance_is_domain_error": "eval-var-out-of-range",
+    **{f"test_bad_graph_update_names_the_file_ids[{case}-{problem}]": f"{problem}-{update}"
+       for problem in ("conn", "spanning-forest")
+       for case, update in [("out-of-range", "add-out-of-range"),
+                            ("duplicate", "add-present"), ("unknown", "drop-absent")]},
+    "test_bad_flip_names_the_file_ids[eval]": "flip9-eval",
+    "test_bad_flip_names_the_file_ids[eval-naive]": "flip9-eval-naive",
+    "test_bad_flip_names_the_file_ids[verify-honest]": "flip9-verify",
+    "test_bad_flip_names_the_file_ids[verify-maximizing]": "flip9-verify-maximizing",
+    "test_bad_flip_names_the_file_ids[complete-demo]": "flip9-demo",
+    "test_update_errors_name_their_line_and_step[verify-conn]": "conn-edge9",
+    "test_update_errors_name_their_line_and_step[eval]": "flip9-eval-line",
+    "test_update_errors_name_their_line_and_step[complete-demo]": "flip9-demo-line",
+    "test_unencodable_proof_names_its_step_once": "kconn-oversize-proof",
+    "test_reduce_names_an_out_of_range_color_by_the_file_id": "reduce-color9",
+    "test_complete_demo_refuses_an_update_it_cannot_apply": "demo-edge-update",
+    "test_bad_graph_file_line_names_the_file_ids[out-of-range]": "conn-edge-out-of-range",
+    "test_bad_graph_file_line_names_the_file_ids[duplicate]": "conn-edge-present",
+    "test_spanning_forest_refuses_a_non_graph_token_after_a_desync[plain]":
+        "spanning-desync",
+    "test_spanning_forest_refuses_a_non_graph_token_after_a_desync[check]":
+        "spanning-desync-check",
+    "test_malformed_input_exits_2_without_traceback[dnf-header]": "eval-bad-header",
+    "test_malformed_input_exits_2_without_traceback[dimacs-literal]": "sat-bad-literal",
+    "test_malformed_input_exits_2_without_traceback[short-edge-line]": "conn-short-edge",
+    "test_malformed_input_exits_2_without_traceback[recolor-out-of-range]": "reduce-color9",
+    "test_malformed_input_exits_2_without_traceback[negative-nodes-conn]":
+        "conn-negative-nodes",
+    "test_malformed_input_exits_2_without_traceback[negative-nodes-spanning-forest]":
+        "spanning-negative-nodes",
+    "test_malformed_input_exits_2_without_traceback[negative-vars-sat]": "sat-negative-vars",
+    "test_malformed_input_exits_2_without_traceback[nodes-over-budget]":
+        "conn-nodes-over-budget",
+    "test_malformed_input_exits_2_without_traceback[header-after-body]":
+        "conn-header-after-body",
+    **{f"test_report_matches_golden[{name}]": name for name in GOLDEN},
+}
+
+
+def named_test(cases: dict):
+    """A test running the row each of its ids maps to in `cases`; the id
+    None stands for a test without parameters."""
+    if list(cases) == [None]:
+        return lambda scenario: scenario(cases[None])
+
+    @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
+    def test(name, scenario):
+        scenario(name)
+    return test
+
+
+def named_tests() -> dict:
+    """NAMED_TESTS as one test per function name."""
+    grouped = {}
+    for test_id, name in NAMED_TESTS.items():
+        function, _, case = test_id.partition("[")
+        grouped.setdefault(function, {})[case[:-1] or None] = name
+    return {function: named_test(cases) for function, cases in grouped.items()}
+
+
+globals().update(named_tests())
+UNNAMED_ROWS = [row for row in ROWS if row.name not in NAMED_TESTS.values()]
+
+
+@pytest.mark.parametrize("row", UNNAMED_ROWS, ids=[row.name for row in UNNAMED_ROWS])
+def test_cli_scenario(row, scenario):
+    """A row of the CLI contract that no test above runs by its old id."""
+    scenario(row.name)
 
 
 # the seeded inputs' bytes, for which the rows' pinned counts hold
