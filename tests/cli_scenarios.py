@@ -3,10 +3,11 @@
 Each row of `ROWS` runs one `dyncx` argv in a directory that holds every
 input below, and names what must come out: the exit code and any of the
 golden stdout bytes, the report's flags, a subset of its counters, the
-last line of stderr, or the same `steps` as an earlier row. Every row also
+stderr, or the same stdout or `steps` as an earlier row. Every row also
 keeps the rules common to all commands: no traceback, an exit-2 run prints
 nothing on stdout and starts stderr with `error:` or argparse's `usage:`,
-and a JSON report that exits 0 or 1 says schema 1.
+and a run that exits 0 or 1 prints nothing on stderr and a JSON report
+that says schema 1.
 
 The table runs two ways. tests/test_cli.py runs each row in-process
 through `dyncx.cli.main`. Run as a script, from any directory,
@@ -211,7 +212,8 @@ class Row:
     stdout: str | None = None  # the exact bytes
     flags: dict | None = None  # the exact flags
     counters: dict | None = None  # a subset of the counters
-    stderr: str | None = None  # the exact last line
+    stderr: str | None = None  # the one line, or argparse's last after its usage
+    same_stdout_as: str | None = None  # an earlier row's name
     same_steps_as: str | None = None  # an earlier row's name
 
 
@@ -305,7 +307,7 @@ ROWS = [
         flags={"sound": True}),
     row("conn-random-again",
         f"--seed 7 verify --problem conn {GRAPH} --prover random --check",
-        flags={"sound": True}, same_steps_as="conn-random"),
+        flags={"sound": True}, same_stdout_as="conn-random"),
     # like `oracles.is_connected`, a graph of at most one node is connected
     row("conn-no-nodes",
         "verify --problem conn --prover honest --in empty.txt --updates query.txt --check",
@@ -450,9 +452,13 @@ def faults(row: Row, run, outputs: dict) -> list[str]:
         found.append("a traceback on stderr")
     if rc == 2 and (out or not err.startswith(("error:", "usage:"))):
         found.append("exit 2 wants an empty stdout and stderr starting 'error:' or 'usage:'")
-    last = err.splitlines()[-1] if err else ""
-    if row.stderr is not None and last != row.stderr:
-        found.append(f"stderr ends {last!r}, want {row.stderr!r}")
+    if rc != 2 and err:
+        found.append(f"exit {rc} wants an empty stderr: {err[:200]!r}")
+    if row.stderr is not None:
+        # `main` prints one error line; argparse prints its usage first
+        got = err if row.stderr.startswith("error:") else "".join(err.splitlines(True)[-1:])
+        if got != row.stderr + "\n":
+            found.append(f"stderr {got!r}, want {row.stderr!r} and a newline")
     if row.stdout is not None and out != row.stdout:
         found.append(f"stdout is not the golden report: {out[:200]!r}")
     if rc == 2 or "--table" in row.argv:
@@ -469,13 +475,19 @@ def faults(row: Row, run, outputs: dict) -> list[str]:
     got = {key: counters.get(key) for key in row.counters or ()}
     if got != (row.counters or {}):
         found.append(f"counters {got}, want {row.counters}")
-    if row.same_steps_as is not None:
-        other = BY_NAME[row.same_steps_as]
-        if other.name not in outputs:
-            outputs[other.name] = run(other.argv)[1]
-        if report.get("steps") != json.loads(outputs[other.name] or "{}").get("steps"):
-            found.append(f"steps differ from row {other.name}'s")
+    if row.same_stdout_as is not None and out != earlier(row.same_stdout_as, run, outputs):
+        found.append(f"stdout differs from row {row.same_stdout_as}'s")
+    if row.same_steps_as is not None and report.get("steps") != json.loads(
+            earlier(row.same_steps_as, run, outputs) or "{}").get("steps"):
+        found.append(f"steps differ from row {row.same_steps_as}'s")
     return found
+
+
+def earlier(name: str, run, outputs: dict) -> str:
+    """The stdout of row `name`, run now unless `outputs` has it."""
+    if name not in outputs:
+        outputs[name] = run(BY_NAME[name].argv)[1]
+    return outputs[name]
 
 
 def run_installed(argv: list) -> tuple[int, str, str]:

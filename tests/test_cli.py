@@ -10,21 +10,9 @@ import pytest
 
 from dyncx.cli import main
 
-from cli_scenarios import (
-    BY_NAME, GOLDEN, ROWS, TEXTS, faults, generated, inputs, sparse_dnf_text,
-    with_random_signs)
+from cli_scenarios import BY_NAME, GOLDEN, ROWS, TEXTS, faults, generated, inputs
 
 DNF_TEXT = TEXTS["inst.dnf"]
-
-
-@pytest.fixture
-def files(tmp_path):
-    made = {}
-    for name, text in TEXTS.items():
-        p = tmp_path / name
-        p.write_text(text)
-        made[name] = str(p)
-    return made
 
 
 def run_json(capsys, argv):
@@ -45,126 +33,113 @@ def run_in_process(argv) -> tuple[int, str, str]:
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    """A directory holding every scenario input, and the stdout of each row
-    run in it so far, by name."""
+    """A directory holding every scenario input."""
     path = tmp_path_factory.mktemp("scenarios")
     for name, text in inputs().items():
         (path / name).write_bytes(text.encode())
-    return path, {}
+    return path
 
 
 @pytest.fixture
-def scenario(scenario_dir, monkeypatch):
-    """Runs a row of tests/cli_scenarios.py, by name, through `main` in the
-    inputs' directory, so argv echoes are relative, and asserts it holds."""
-    path, outputs = scenario_dir
-    monkeypatch.chdir(path)
+def in_inputs(scenario_dir, monkeypatch):
+    """Runs the test in `scenario_dir`, so it names each input by file name."""
+    monkeypatch.chdir(scenario_dir)
+
+
+@pytest.fixture(scope="module")
+def ran():
+    """The stdout and the faults of each row run so far, by name."""
+    return {}, {}
+
+
+@pytest.fixture
+def scenario(in_inputs, ran):
+    """Asserts that a row of tests/cli_scenarios.py, by name, holds when run
+    through `main` in the inputs' directory, so argv echoes are relative.
+    A row runs once, however many tests name it."""
+    outputs, found = ran
 
     def check(name):
-        assert faults(BY_NAME[name], run_in_process, outputs) == []
+        if name not in found:
+            found[name] = faults(BY_NAME[name], run_in_process, outputs)
+        assert found[name] == []
     return check
 
 
-# Tests that each ran their own copy of a command before the table existed
-# keep their ids, so a failure reads as it always has: each id runs the row
-# named here, and test_cli_scenario runs every row that none of them runs.
-NAMED_TESTS = {
-    "test_eval_reports_answers_and_counters": "eval",
-    "test_eval_algorithms_agree": "eval-naive-plain",
-    "test_verify_dnf_honest_is_sound_and_complete": "verify_dnf",
-    "test_verify_conn_adversary_stays_sound": "verify_conn_ghost",
-    "test_verify_conn_random_prover_is_seeded": "conn-random-again",
-    "test_verify_kconn_uses_k_flag": "kconn-k2",
-    "test_verify_kconn_reads_k_header": "kconn-k-line",
-    "test_verify_kconn_on_one_node_reads_no[plain]": "kconn-one-node",
-    "test_verify_kconn_on_one_node_reads_no[check]": "kconn-one-node-check",
-    "test_verify_conn_on_a_graph_with_no_nodes_reads_connected": "conn-no-nodes",
-    "test_verify_kconn_k_flag_overrides_the_k_line": "kconn-k-flag-overrides",
-    "test_verify_kconn_bad_k_line_exits_2_naming_it[zero]": "kconn-k-zero",
-    "test_verify_kconn_bad_k_line_exits_2_naming_it[repeated]": "kconn-k-twice",
-    "test_verify_kconn_without_k_errors": "kconn-without-k",
-    "test_verify_spanning_forest_valid": "verify_spanning",
-    "test_verify_spanning_forest_flags_stubborn_prover": "verify_spanning_stubborn",
-    "test_reduce_agrees_per_step[maxflow]": "reduce_maxflow",
-    **{f"test_reduce_agrees_per_step[{target}]": f"reduce-{target}"
-       for target in ("subconn", "diameter", "streach", "countreach", "countscc")},
-    "test_sat_command_verdicts": "sat-contradiction",
-    "test_sat_budget_exit_code": "sat-budget",
-    "test_complete_demo_matches_oracle": "complete_demo",
-    "test_bench_counters_win_at_the_largest_size": "bench-counters-win",
-    "test_missing_file_is_io_error": "eval-missing-file",
-    "test_bench_rejects_sizes_that_are_not_counts[abc]": "bench-sizes-word",
-    "test_bench_rejects_sizes_that_are_not_counts[4,x]": "bench-sizes-letter",
-    **{f"test_bench_rejects_negative_or_missing_work[{case}]": f"bench-{case}"
-       for case in ("negative-size", "no-sizes", "negative-steps")},
-    "test_malformed_instance_is_domain_error": "eval-var-out-of-range",
-    **{f"test_bad_graph_update_names_the_file_ids[{case}-{problem}]": f"{problem}-{update}"
-       for problem in ("conn", "spanning-forest")
-       for case, update in [("out-of-range", "add-out-of-range"),
-                            ("duplicate", "add-present"), ("unknown", "drop-absent")]},
-    "test_bad_flip_names_the_file_ids[eval]": "flip9-eval",
-    "test_bad_flip_names_the_file_ids[eval-naive]": "flip9-eval-naive",
-    "test_bad_flip_names_the_file_ids[verify-honest]": "flip9-verify",
-    "test_bad_flip_names_the_file_ids[verify-maximizing]": "flip9-verify-maximizing",
-    "test_bad_flip_names_the_file_ids[complete-demo]": "flip9-demo",
-    "test_update_errors_name_their_line_and_step[verify-conn]": "conn-edge9",
-    "test_update_errors_name_their_line_and_step[eval]": "flip9-eval-line",
-    "test_update_errors_name_their_line_and_step[complete-demo]": "flip9-demo-line",
-    "test_unencodable_proof_names_its_step_once": "kconn-oversize-proof",
-    "test_reduce_names_an_out_of_range_color_by_the_file_id": "reduce-color9",
-    "test_complete_demo_refuses_an_update_it_cannot_apply": "demo-edge-update",
-    "test_bad_graph_file_line_names_the_file_ids[out-of-range]": "conn-edge-out-of-range",
-    "test_bad_graph_file_line_names_the_file_ids[duplicate]": "conn-edge-present",
-    "test_spanning_forest_refuses_a_non_graph_token_after_a_desync[plain]":
-        "spanning-desync",
-    "test_spanning_forest_refuses_a_non_graph_token_after_a_desync[check]":
-        "spanning-desync-check",
-    "test_malformed_input_exits_2_without_traceback[dnf-header]": "eval-bad-header",
-    "test_malformed_input_exits_2_without_traceback[dimacs-literal]": "sat-bad-literal",
-    "test_malformed_input_exits_2_without_traceback[short-edge-line]": "conn-short-edge",
-    "test_malformed_input_exits_2_without_traceback[recolor-out-of-range]": "reduce-color9",
-    "test_malformed_input_exits_2_without_traceback[negative-nodes-conn]":
-        "conn-negative-nodes",
-    "test_malformed_input_exits_2_without_traceback[negative-nodes-spanning-forest]":
-        "spanning-negative-nodes",
-    "test_malformed_input_exits_2_without_traceback[negative-vars-sat]": "sat-negative-vars",
-    "test_malformed_input_exits_2_without_traceback[nodes-over-budget]":
-        "conn-nodes-over-budget",
-    "test_malformed_input_exits_2_without_traceback[header-after-body]":
-        "conn-header-after-body",
-    **{f"test_report_matches_golden[{name}]": name for name in GOLDEN},
-}
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_cli_scenario(row, scenario):
+    scenario(row.name)
 
 
-def named_test(cases: dict):
-    """A test running the row each of its ids maps to in `cases`; the id
-    None stands for a test without parameters."""
-    if list(cases) == [None]:
-        return lambda scenario: scenario(cases[None])
+def runs(rows: str | dict):
+    """A test of the row named `rows`, or one test id per key of a dict
+    `rows` that runs the row named by its value. Each test that ran its own
+    copy of a command before the table keeps its id this way."""
+    for name in [rows] if isinstance(rows, str) else rows.values():
+        BY_NAME[name]  # a row renamed without its old ids fails collection
+    if isinstance(rows, str):
+        return lambda scenario: scenario(rows)
 
-    @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
+    @pytest.mark.parametrize("name", list(rows.values()), ids=list(rows))
     def test(name, scenario):
         scenario(name)
     return test
 
 
-def named_tests() -> dict:
-    """NAMED_TESTS as one test per function name."""
-    grouped = {}
-    for test_id, name in NAMED_TESTS.items():
-        function, _, case = test_id.partition("[")
-        grouped.setdefault(function, {})[case[:-1] or None] = name
-    return {function: named_test(cases) for function, cases in grouped.items()}
-
-
-globals().update(named_tests())
-UNNAMED_ROWS = [row for row in ROWS if row.name not in NAMED_TESTS.values()]
-
-
-@pytest.mark.parametrize("row", UNNAMED_ROWS, ids=[row.name for row in UNNAMED_ROWS])
-def test_cli_scenario(row, scenario):
-    """A row of the CLI contract that no test above runs by its old id."""
-    scenario(row.name)
+test_eval_reports_answers_and_counters = runs("eval")
+test_eval_algorithms_agree = runs("eval-naive-plain")
+test_verify_dnf_honest_is_sound_and_complete = runs("verify_dnf")
+test_verify_conn_adversary_stays_sound = runs("verify_conn_ghost")
+test_verify_conn_random_prover_is_seeded = runs("conn-random-again")
+test_verify_kconn_uses_k_flag = runs("kconn-k2")
+test_verify_kconn_reads_k_header = runs("kconn-k-line")
+test_verify_kconn_on_one_node_reads_no = runs(
+    {"plain": "kconn-one-node", "check": "kconn-one-node-check"})
+test_verify_conn_on_a_graph_with_no_nodes_reads_connected = runs("conn-no-nodes")
+test_verify_kconn_k_flag_overrides_the_k_line = runs("kconn-k-flag-overrides")
+test_verify_kconn_bad_k_line_exits_2_naming_it = runs(
+    {"zero": "kconn-k-zero", "repeated": "kconn-k-twice"})
+test_verify_kconn_without_k_errors = runs("kconn-without-k")
+test_verify_spanning_forest_valid = runs("verify_spanning")
+test_verify_spanning_forest_flags_stubborn_prover = runs("verify_spanning_stubborn")
+test_reduce_agrees_per_step = runs({"maxflow": "reduce_maxflow", **{
+    target: f"reduce-{target}"
+    for target in ("subconn", "diameter", "streach", "countreach", "countscc")}})
+test_sat_command_verdicts = runs("sat-contradiction")
+test_sat_budget_exit_code = runs("sat-budget")
+test_complete_demo_matches_oracle = runs("complete_demo")
+test_bench_counters_win_at_the_largest_size = runs("bench-counters-win")
+test_missing_file_is_io_error = runs("eval-missing-file")
+test_bench_rejects_sizes_that_are_not_counts = runs(
+    {"abc": "bench-sizes-word", "4,x": "bench-sizes-letter"})
+test_bench_rejects_negative_or_missing_work = runs(
+    {case: f"bench-{case}" for case in ("negative-size", "no-sizes", "negative-steps")})
+test_malformed_instance_is_domain_error = runs("eval-var-out-of-range")
+test_bad_graph_update_names_the_file_ids = runs({
+    f"{case}-{problem}": f"{problem}-{update}" for problem in ("conn", "spanning-forest")
+    for case, update in [("out-of-range", "add-out-of-range"), ("duplicate", "add-present"),
+                         ("unknown", "drop-absent")]})
+test_bad_flip_names_the_file_ids = runs({
+    "eval": "flip9-eval", "eval-naive": "flip9-eval-naive", "verify-honest": "flip9-verify",
+    "verify-maximizing": "flip9-verify-maximizing", "complete-demo": "flip9-demo"})
+test_update_errors_name_their_line_and_step = runs({
+    "verify-conn": "conn-edge9", "eval": "flip9-eval-line",
+    "complete-demo": "flip9-demo-line"})
+test_unencodable_proof_names_its_step_once = runs("kconn-oversize-proof")
+test_reduce_names_an_out_of_range_color_by_the_file_id = runs("reduce-color9")
+test_complete_demo_refuses_an_update_it_cannot_apply = runs("demo-edge-update")
+test_bad_graph_file_line_names_the_file_ids = runs(
+    {"out-of-range": "conn-edge-out-of-range", "duplicate": "conn-edge-present"})
+test_spanning_forest_refuses_a_non_graph_token_after_a_desync = runs(
+    {"plain": "spanning-desync", "check": "spanning-desync-check"})
+test_report_matches_golden = runs({name: name for name in GOLDEN})
+test_malformed_input_exits_2_without_traceback = runs({
+    "dnf-header": "eval-bad-header", "dimacs-literal": "sat-bad-literal",
+    "short-edge-line": "conn-short-edge", "recolor-out-of-range": "reduce-color9",
+    "negative-nodes-conn": "conn-negative-nodes",
+    "negative-nodes-spanning-forest": "spanning-negative-nodes",
+    "negative-vars-sat": "sat-negative-vars", "nodes-over-budget": "conn-nodes-over-budget",
+    "header-after-body": "conn-header-after-body"})
 
 
 # the seeded inputs' bytes, for which the rows' pinned counts hold
@@ -208,9 +183,9 @@ PROVER_NAMES = ["honest", "maximizing", "random"] + [
 
 @pytest.mark.parametrize("prover", PROVER_NAMES)
 @pytest.mark.parametrize("problem", sorted(PROBLEM_INPUTS))
-def test_every_prover_name_keeps_the_exit_contract(problem, prover, files, capsys):
+def test_every_prover_name_keeps_the_exit_contract(problem, prover, in_inputs, capsys):
     argv = ["verify", "--problem", problem, "--prover", prover, "--check"]
-    rc = main(argv + [files.get(a, a) for a in PROBLEM_INPUTS[problem]])
+    rc = main(argv + PROBLEM_INPUTS[problem])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     if rc == 2:
@@ -220,25 +195,6 @@ def test_every_prover_name_keeps_the_exit_contract(problem, prover, files, capsy
         assert rc == 2
     if problem == "spanning-forest":
         assert (rc == 2) == (prover not in ("honest", "adversarial:stubborn"))
-
-
-def test_complete_demo_validates_each_tree_once(files, capsys, monkeypatch):
-    from dyncx.fdt import DecisionTree
-
-    seen = []
-    validate = DecisionTree.validate
-
-    def counting(tree, *args, **kwargs):
-        seen.append(id(tree))
-        return validate(tree, *args, **kwargs)
-
-    monkeypatch.setattr(DecisionTree, "validate", counting)
-    rc, payload = run_json(
-        capsys, ["complete-demo", "--in", files["inst.dnf"],
-                 "--updates", files["flips.txt"]]
-    )
-    assert rc == 0
-    assert seen == []
 
 
 def count_checks(monkeypatch, cls) -> list:
@@ -255,14 +211,20 @@ def count_checks(monkeypatch, cls) -> list:
     return seen
 
 
-def test_complete_demo_walks_no_tree_after_compile(files, capsys, monkeypatch):
+def test_complete_demo_validates_each_tree_once(in_inputs, capsys, monkeypatch):
+    from dyncx.fdt import DecisionTree
+
+    seen = count_checks(monkeypatch, DecisionTree)
+    rc, _ = run_json(capsys, ["complete-demo", "--in", "inst.dnf", "--updates", "flips.txt"])
+    assert rc == 0 and seen == []
+
+
+def test_complete_demo_walks_no_tree_after_compile(in_inputs, capsys, monkeypatch):
     from dyncx import dnf, fdt
 
     seen = count_checks(monkeypatch, fdt.DecisionTree)
     rc, payload = run_json(
-        capsys, ["complete-demo", "--in", files["inst.dnf"],
-                 "--updates", files["flips.txt"]]
-    )
+        capsys, ["complete-demo", "--in", "inst.dnf", "--updates", "flips.txt"])
     assert rc == 0 and payload["counters"]["trees"] == 4
     inst = dnf.parse_dnf(DNF_TEXT)
     trees = fdt.compile_dnf_verifier_to_trees(inst)
@@ -270,7 +232,7 @@ def test_complete_demo_walks_no_tree_after_compile(files, capsys, monkeypatch):
     assert seen == []
 
 
-def test_an_instance_is_checked_once_when_it_is_built(files, capsys, monkeypatch):
+def test_an_instance_is_checked_once_when_it_is_built(in_inputs, capsys, monkeypatch):
     from dyncx import dnf, equiv, fdt
     from dyncx.reductions import CnfInstance
 
@@ -285,20 +247,20 @@ def test_an_instance_is_checked_once_when_it_is_built(files, capsys, monkeypatch
     assert seen == []
 
     seen = count_checks(monkeypatch, CnfInstance)
-    rc, _ = run_json(capsys, ["sat", "--in", files["sat.cnf"]])
+    rc, _ = run_json(capsys, ["sat", "--in", "sat.cnf"])
     assert rc == 0 and seen == []
 
     seen = count_checks(monkeypatch, equiv.AllWhiteInstance)
-    rc, _ = run_json(capsys, ["reduce", "--target", "maxflow", "--in", files["aw.txt"],
-                              "--updates", files["colors.txt"]])
+    rc, _ = run_json(capsys, ["reduce", "--target", "maxflow", "--in", "aw.txt",
+                              "--updates", "colors.txt"])
     assert rc == 0 and seen == []
 
 
 @pytest.mark.parametrize("which", ["--in", "--updates"])
-def test_non_utf8_input_exits_2_naming_the_path(which, files, tmp_path, capsys):
+def test_non_utf8_input_exits_2_naming_the_path(which, in_inputs, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"p graph 3\ne 1 2\n\xff\n")
-    paths = {"--in": files["graph.txt"], "--updates": files["edges.txt"], which: str(bad)}
+    paths = {"--in": "graph.txt", "--updates": "edges.txt", which: str(bad)}
     rc = main(["verify", "--problem", "conn", "--in", paths["--in"],
                "--updates", paths["--updates"]])
     err = capsys.readouterr().err
@@ -306,9 +268,9 @@ def test_non_utf8_input_exits_2_naming_the_path(which, files, tmp_path, capsys):
     assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
 
 
-def test_json_output_is_deterministic(files, capsys):
-    argv = ["verify", "--problem", "conn", "--in", files["graph.txt"],
-            "--updates", files["edges.txt"], "--check"]
+def test_json_output_is_deterministic(in_inputs, capsys):
+    argv = ["verify", "--problem", "conn", "--in", "graph.txt", "--updates", "edges.txt",
+            "--check"]
     main(argv)
     first = capsys.readouterr().out
     main(argv)
@@ -317,15 +279,13 @@ def test_json_output_is_deterministic(files, capsys):
     assert "wall_clock" not in first
 
 
-def test_timing_flag_adds_wall_clock(files, capsys):
-    rc, payload = run_json(
-        capsys, ["--timing", "eval", "--in", files["inst.dnf"]]
-    )
+def test_timing_flag_adds_wall_clock(in_inputs, capsys):
+    rc, payload = run_json(capsys, ["--timing", "eval", "--in", "inst.dnf"])
     assert rc == 0
     assert "wall_clock_s" in payload
 
 
-def test_table_output_renders(files, capsys):
+def test_table_output_renders(capsys):
     rc = main(["--table", "bench", "--sizes", "4,8", "--steps", "10"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -333,9 +293,9 @@ def test_table_output_renders(files, capsys):
     assert "pass" in out
 
 
-def test_module_entry_point(files):
+def test_module_entry_point(scenario_dir):
     proc = subprocess.run(
-        [sys.executable, "-m", "dyncx", "eval", "--in", files["inst.dnf"]],
+        [sys.executable, "-m", "dyncx", "eval", "--in", str(scenario_dir / "inst.dnf")],
         capture_output=True,
         text=True,
     )
@@ -426,7 +386,7 @@ def test_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path, capsys):
     from dyncx import dnf, fdt
     from dyncx.framework import UpdateStream, run_protocol
 
-    text, updates = sparse_dnf_text(11, 500, 2000, 200)
+    text, updates = generated()["big.dnf"], generated()["big-flips.txt"]
     (tmp_path / "big.dnf").write_text(text)
     (tmp_path / "big-flips.txt").write_text(updates)
     common = ["--in", str(tmp_path / "big.dnf"), "--updates", str(tmp_path / "big-flips.txt")]
@@ -480,8 +440,7 @@ def test_mixed_sign_dnf_reports_and_meters_are_pinned_at_perfbench_size(tmp_path
     from dyncx import dnf, fdt
     from dyncx.framework import UpdateStream, run_protocol
 
-    text, updates = sparse_dnf_text(11, 500, 2000, 200)
-    text = with_random_signs(text, 5)
+    text, updates = generated()["big-mixed.dnf"], generated()["big-flips.txt"]
     (tmp_path / "mixed.dnf").write_text(text)
     (tmp_path / "flips.txt").write_text(updates)
     common = ["--in", str(tmp_path / "mixed.dnf"), "--updates", str(tmp_path / "flips.txt")]
