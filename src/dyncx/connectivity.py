@@ -343,17 +343,27 @@ class ForestConnectivityOracle:
     `is_connected`, `components` or `calls`. `tree` stays as sets,
     unlike the graph's dicts: tree degrees are mostly 1 to 4, where a set
     is no larger than a dict.
+
+    The starting forest is the greedy one over the handed pairs in sorted
+    order. `edges` is read once, so a set, a list or an iterator will do;
+    each (u, v) tuple is kept as handed when u < v and turned round
+    otherwise, and the graph takes the pairs in the order they come. The
+    oracle sorts that list, rather than rebuilding the pairs from its
+    graph, so its set-up builds no tuple it would throw away.
     """
 
     def __init__(self, num_nodes: int, edges):
-        self.graph = DynamicGraph(num_nodes, edges)
+        pairs = [pair if pair[0] < pair[1] else (pair[1], pair[0]) for pair in edges]
+        self.graph = DynamicGraph(num_nodes, pairs)
         self.tree: list[set[int]] = [set() for _ in range(num_nodes)]
         uf = oracles.UnionFind(num_nodes)
         # any maximal forest is correct; in sorted order it is the greedy one
         # the protocol's `forest.build(graph.sorted_edges())` gives, so over a
         # spanning protocol's graph the oracle's tree edges start as the
-        # protocol's and the searches of both fall on the same deletions
-        for u, v in self.graph.sorted_edges():
+        # protocol's and the searches of both fall on the same deletions. A
+        # repeated pair sorts next to its twin and joins nothing.
+        pairs.sort()
+        for u, v in pairs:
             if uf.union(u, v):
                 self.tree[u].add(v)
                 self.tree[v].add(u)

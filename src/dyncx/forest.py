@@ -556,7 +556,10 @@ class DynamicForest:
         return _walk(up, down)
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for (u, v) in self._edge_arc if u < v]
+        """The forest's edges as (u, v) pairs with u < v, in the order they
+        were linked. The pairs are the forest's own keys, not copies; tuples
+        are immutable, so a caller may keep them."""
+        return [key for key in self._edge_arc if key[0] < key[1]]
 
     def copy(self) -> "DynamicForest":
         dup = object.__new__(DynamicForest)

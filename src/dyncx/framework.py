@@ -137,7 +137,7 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
         if not parts or parts[0] == comment:
             continue
         if counts is None:
-            counts = _header_counts(parts, *header, lineno)
+            counts = _header_counts(parts, header, lineno, raw)
             if on_header is not None:
                 on_header(counts)
             continue
@@ -155,14 +155,22 @@ def read_lines(text: str, handle, header: tuple[str, int] | None = None,
     return counts
 
 
-def _header_counts(parts: list[str], kind: str, arity: int, lineno: int):
+def _header_counts(parts: list[str], header: tuple[str, int], lineno: int, raw: str):
+    kind, arity = header
     if len(parts) != 2 + arity or parts[0] != "p" or parts[1] != kind:
         want = " ".join(["p", kind] + ["<count>"] * arity)
         raise ParseError(f"line {lineno}: want '{want}' first")
     try:
         counts = tuple(map(int, parts[2:]))
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from exc
+        # name the first count that int() refuses, and quote the line as a
+        # body line's error does
+        for field in parts[2:]:
+            try:
+                int(field)
+            except ValueError:
+                raise ParseError(f"line {lineno}: {raw.strip()!r}: "
+                                 f"count {field!r} is not an integer") from exc
     budget = env_budget()
     for c in counts:
         if c < 0:

@@ -285,7 +285,7 @@ ROWS = [
     refused("eval-var-out-of-range", "eval --in var-out-of-range.dnf",
             "error: line 2: '9 0': variable 9 out of range 1..2"),
     refused("eval-bad-header", "eval --in bad-header.dnf",
-            "error: line 1: invalid literal for int() with base 10: 'x'"),
+            "error: line 1: 'p dnf x 1 1': count 'x' is not an integer"),
     refused("eval-second-a-line", "eval --in two-a.dnf",
             "error: line 4: 'a 1 1': second 'a' line"),
     refused("eval-second-o-line", "eval --in two-o.dnf",

@@ -44,6 +44,7 @@ from dyncx.framework import (
     reward_maximizing_prover,
     run_protocol,
 )
+from dyncx.forest import DynamicForest
 from dyncx.oracles import component_count, components, is_connected
 
 from conftest import rand_edge_stream, rand_graph
@@ -467,6 +468,44 @@ def test_forest_oracle_splits_and_rejoins_a_path():
     edit("+", 1, 0, [0])
     assert oracle.components == 1 and oracle.is_connected()
     assert len(set(oracle.label)) == 1
+
+
+def oracle_forest(oracle) -> set[tuple[int, int]]:
+    return {(u, v) for u, nbrs in enumerate(oracle.tree) for v in nbrs if u < v}
+
+
+def test_spanning_oracle_starts_with_the_protocols_forest():
+    """The protocol's oracle starts with exactly its forest's tree edges
+    plus one super-node edge per representative."""
+    rng = random.Random(31)
+    for _ in range(40):
+        graph = rand_graph(rng, n_hi=30)
+        protocol = SpanningForestProtocol(graph)
+        n = graph.num_nodes
+        assert oracle_forest(protocol.oracle) == (
+            set(protocol.forest.tree_edges()) | {(rep, n) for rep in protocol.reps})
+
+
+def test_forest_oracle_reads_any_iterable_of_pairs_once():
+    """A set, a list with turned-round and repeated pairs, and a one-shot
+    iterator give the greedy forest of the sorted edges, and the graph
+    lists each vertex's neighbours in the order the pairs were handed."""
+    rng = random.Random(32)
+    for _ in range(30):
+        n = rng.randint(2, 20)
+        edges = rand_graph(rng, n_hi=n, n_lo=n).edges
+        greedy = DynamicForest(n)
+        greedy.build(sorted(edges))
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        pairs += rng.sample(pairs, len(pairs) // 3) + [(v, u) for u, v in pairs[:2]]
+        rng.shuffle(pairs)
+        for handed, order in ((edges, list(edges)), (pairs, pairs), (iter(pairs), pairs)):
+            oracle = ForestConnectivityOracle(n, handed)
+            assert oracle_forest(oracle) == set(greedy.tree_edges())
+            assert oracle.components == component_count(n, edges)
+            assert oracle.graph.edges == edges
+            assert [list(nbrs) for nbrs in oracle.graph.adj] == [
+                list(nbrs) for nbrs in DynamicGraph(n, order).adj]
 
 
 def test_forest_meter_counts_are_pinned():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
@@ -37,6 +39,8 @@ from dyncx.fdt import (
     root_to_leaf_paths,
 )
 from dyncx.framework import BudgetExceeded, ParseError, ProbeMeter, UndecodableUpdate, UpdateStream
+
+from cli_scenarios import sparse_dnf_text
 
 
 def single_read(index=0):
@@ -666,6 +670,30 @@ def test_compile_shares_equal_reads():
     again = compile_dnf_verifier_to_trees(inst)
     assert again[0].nodes[0] == trees[0].nodes[0]
     assert again[0].nodes[0] is not trees[0].nodes[0]
+
+
+def test_compile_keeps_only_its_trees():
+    """On `big.dnf` (2000 random positive width-3 clauses over 500
+    variables) the compile's traced growth is its trees, at most 240 B per
+    clause, and it leaves nothing on CPython's free lists that a full
+    collection, which empties them, would free. Trees whose largest
+    variable is equal share one span int."""
+    inst = parse_dnf(sparse_dnf_text(11, 500, 2000, 200)[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trees = compile_dnf_verifier_to_trees(inst)
+        compiled = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        collected = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (compiled - before) / len(inst.clauses) <= 240
+    assert compiled - collected <= 4096
+    spans = {}
+    assert all(spans.setdefault(tree.span, tree.span) is tree.span for tree in trees)
+    assert max(spans) > 256  # past CPython's cached small ints
 
 
 def test_oracle_cuts_at_the_first_read_free_path():

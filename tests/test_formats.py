@@ -205,6 +205,20 @@ def test_fixed_arity_lines_refuse_extra_fields(parse, raw):
     assert str(raised.value) == f"line 2: {raw!r}: too many fields"
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_dnf, "p dnf x 1 1\n1 0\n", "line 1: 'p dnf x 1 1': count 'x' is not an integer"),
+    (parse_dnf, "p dnf 2 1 1.5\n1 0\n", "line 1: 'p dnf 2 1 1.5': count '1.5' is not an integer"),
+    (parse_graph, "# nodes\n  p graph n  # comment\n",
+     "line 2: 'p graph n  # comment': count 'n' is not an integer"),
+    (parse_dimacs, "c a comment\np cnf 3 y\n1 0\n", "line 2: 'p cnf 3 y': count 'y' is not an integer"),
+    (parse_aw, "p aw a b\n", "line 1: 'p aw a b': count 'a' is not an integer"),
+], ids=["dnf-first", "dnf-last", "graph-comment", "cnf", "aw-two-bad"])
+def test_a_non_integer_header_count_is_named_with_its_line(parse, text, message):
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    assert str(raised.value) == message
+
+
 @st.composite
 def dnf_files(draw):
     """A `p dnf` file that may break any rule `validate` checks, with the
